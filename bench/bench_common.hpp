@@ -9,19 +9,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "core/telemetry.hpp"
 #include "obs/sinks.hpp"
 
 namespace aspe::bench {
 
 /// Telemetry flags shared by the paper-reproduction binaries:
 /// `--trace-json=PATH` streams chrome://tracing events for every attack run,
-/// `--metrics-json=PATH` aggregates counters/gauges across all runs and
-/// writes one metrics document at exit. `sink()` is null when neither flag
+/// `--metrics-json=PATH` aggregates counters/gauges across all runs, plus
+/// the attack-driver counters passed to add_attack(), and writes one metrics
+/// document at exit. `sink()` is null when neither flag
 /// was passed, so benches stay zero-overhead by default; attaching a sink
 /// never changes attack output (telemetry is observational only).
 class ObsFlags {
@@ -46,6 +49,17 @@ class ObsFlags {
     return (trace_.has_value() || !metrics_path_.empty()) ? &tee_ : nullptr;
   }
 
+  /// Sum one attack's driver counters (`mip.*`) into the metrics document.
+  /// They live in the attack's telemetry, not in the recording; a `mip.*`
+  /// counter the recording also carries has the same value in both, so the
+  /// summed telemetry value replaces the recorded total.
+  void add_attack(const core::AttackTelemetry& telemetry) {
+    if (metrics_path_.empty()) return;
+    for (const auto& [name, value] : telemetry.counters) {
+      if (name.starts_with("mip.")) attack_counters_[name] += value;
+    }
+  }
+
   /// Flush files and report where they went. Call once after the last run.
   void finish() {
     if (trace_.has_value()) {
@@ -53,8 +67,16 @@ class ObsFlags {
       std::printf("\nwrote trace events (chrome://tracing) via --trace-json\n");
     }
     if (!metrics_path_.empty()) {
+      obs::Summary merged;
+      merged.counters = memory_.counters();
+      merged.gauges = memory_.gauges();
+      for (const auto& [name, value] : attack_counters_) {
+        merged.counters[name] = value;
+      }
+      obs::MemorySink document;
+      document.consume(merged);
       std::ofstream out(metrics_path_);
-      memory_.write_metrics_json(out);
+      document.write_metrics_json(out);
       std::printf("\nwrote aggregated metrics to %s\n", metrics_path_.c_str());
     }
   }
@@ -64,6 +86,7 @@ class ObsFlags {
   std::optional<obs::JsonLinesSink> trace_;
   obs::MemorySink memory_;
   obs::TeeSink tee_;
+  std::map<std::string, double> attack_counters_;
 };
 
 /// Fixed-width table printer.

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
       aopt.solver.time_limit_seconds = 60.0;
       const auto res =
           core::run_mip_attack(view, qi, opt.mu, opt.sigma, aopt, actx);
+      obs_flags.add_attack(res.telemetry);
       if (!res.found) continue;
       ++solved;
       seconds += res.telemetry.wall_seconds;

@@ -30,7 +30,7 @@ struct CellResult {
 
 CellResult run_cell(std::size_t d, std::size_t m, double rho, double sigma,
                     std::size_t num_queries, std::uint64_t seed,
-                    obs::Sink* sink) {
+                    bench::ObsFlags& obs_flags) {
   scheme::MrseOptions opt;
   opt.vocab_dim = d;
   opt.sigma = sigma;
@@ -63,8 +63,9 @@ CellResult run_cell(std::size_t d, std::size_t m, double rho, double sigma,
     core::MipAttackOptions aopt;
     aopt.solver.time_limit_seconds = 30.0;
     core::ExecContext actx;
-    actx.sink = sink;
+    actx.sink = obs_flags.sink();
     const auto res = core::run_mip_attack(view, qi, opt.mu, sigma, aopt, actx);
+    obs_flags.add_attack(res.telemetry);
     if (!res.found) continue;
     ++cell.solved;
     cell.avg_seconds += res.telemetry.wall_seconds;
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
             run_cell(d, d, rho, sigma, num_queries,
                      seed + d * 7 + std::size_t(rho * 100) * 3 +
                          std::size_t(sigma * 10),
-                     obs_flags.sink());
+                     obs_flags);
         table.print_row({bench::fmt(sigma, 1), std::to_string(d),
                          bench::fmt(rho, 2), bench::fmt(cell.precision),
                          bench::fmt(cell.recall),

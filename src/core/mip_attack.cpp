@@ -102,6 +102,113 @@ std::uint64_t mip_model_digest(const Model& model) {
   return h;
 }
 
+namespace detail {
+
+RecordIncidence::RecordIncidence(
+    const std::vector<sse::KnownBinaryPair>& known_pairs) {
+  const std::size_t m = known_pairs.size();
+  const std::size_t d = m > 0 ? known_pairs[0].record.size() : 0;
+  keyword_start_.assign(m + 1, 0);
+  row_start_.assign(d + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const BitVec& p = known_pairs[i].record;
+    for (std::size_t k = 0; k < d; ++k) {
+      if (p[k] == 0) continue;
+      keywords_.push_back(static_cast<std::uint32_t>(k));
+      ++row_start_[k + 1];
+    }
+    keyword_start_[i + 1] = keywords_.size();
+  }
+  for (std::size_t k = 0; k < d; ++k) row_start_[k + 1] += row_start_[k];
+  rows_.resize(keywords_.size());
+  std::vector<std::size_t> fill(row_start_.begin(), row_start_.end() - 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (const std::uint32_t k : keywords_in(i)) {
+      rows_[fill[k]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+}
+
+FlipScorer::FlipScorer(const RecordIncidence& incidence, const Vec& c,
+                       double mu, const MipAttackOptions& options)
+    : incidence_(incidence),
+      mu_(mu),
+      rhat_min_(options.rhat_min),
+      rhat_max_(options.rhat_max),
+      that_min_(options.that_min),
+      that_max_(options.that_max) {
+  const std::size_t m = c.size();
+  for (std::size_t i = 0; i < m; ++i) cbar_ += c[i];
+  cbar_ /= static_cast<double>(m);
+  ctilde_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    ctilde_[i] = c[i] - cbar_;
+    sxx_ += ctilde_[i] * ctilde_[i];
+  }
+  const std::size_t d = incidence.num_keywords();
+  col_size_.resize(d);
+  ptc_.assign(d, 0.0);
+  for (std::size_t k = 0; k < d; ++k) {
+    const auto rows = incidence.rows_with(k);
+    col_size_[k] = static_cast<std::int64_t>(rows.size());
+    for (const std::uint32_t i : rows) ptc_[k] += ctilde_[i];
+  }
+}
+
+void FlipScorer::reset(const BitVec& q) {
+  const std::size_t m = ctilde_.size();
+  q_ = q;
+  ones_ = popcount(q_);
+  a_.assign(m, 0);
+  for (std::size_t k = 0; k < q_.size(); ++k) {
+    if (q_[k] == 0) continue;
+    for (const std::uint32_t i : incidence_.rows_with(k)) ++a_[i];
+  }
+  pta_.assign(q_.size(), 0);
+  sum_a_ = 0;
+  sum_a2_ = 0;
+  sxy_ = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (const std::uint32_t k : incidence_.keywords_in(i)) pta_[k] += a_[i];
+    sum_a_ += a_[i];
+    sum_a2_ += a_[i] * a_[i];
+    sxy_ += ctilde_[i] * static_cast<double>(a_[i]);
+  }
+}
+
+void FlipScorer::flip(std::size_t k) {
+  const std::int64_t delta = q_[k] != 0 ? -1 : 1;
+  sum_a2_ += 2 * delta * pta_[k] + col_size_[k];
+  sum_a_ += delta * col_size_[k];
+  for (const std::uint32_t i : incidence_.rows_with(k)) {
+    a_[i] += delta;
+    for (const std::uint32_t j : incidence_.keywords_in(i)) pta_[j] += delta;
+  }
+  q_[k] ^= 1;
+  ones_ = delta > 0 ? ones_ + 1 : ones_ - 1;
+  sxy_ = 0.0;
+  for (std::size_t i = 0; i < a_.size(); ++i) {
+    sxy_ += ctilde_[i] * static_cast<double>(a_[i]);
+  }
+}
+
+double FlipScorer::score(std::int64_t sum_a, std::int64_t sum_a2,
+                         double sxy) const {
+  // Same clamps as the three-pass regression: rhat from the slope, that from
+  // the intercept; r0 is the residual mean that's clamp leaves behind.
+  const std::int64_t m = static_cast<std::int64_t>(ctilde_.size());
+  const double n = static_cast<double>(m);
+  const double rhat = std::clamp(sxx_ > 0.0 ? sxy / sxx_ : rhat_min_,
+                                 rhat_min_, rhat_max_);
+  const double u = rhat * cbar_ - (static_cast<double>(sum_a) / n + mu_);
+  const double r0 = u - std::clamp(u, that_min_, that_max_);
+  // m * sum a^2 - (sum a)^2 is an exact integer: one rounding in Syy.
+  const double syy = static_cast<double>(m * sum_a2 - sum_a * sum_a) / n;
+  return rhat * rhat * sxx_ - 2.0 * rhat * sxy + syy + n * r0 * r0;
+}
+
+}  // namespace detail
+
 namespace {
 
 /// Result of fitting the two continuous variables for a *fixed* binary Q.
@@ -136,11 +243,16 @@ RtFit fit_rt(const Vec& c, const Vec& a, double mu, double lsigma,
   for (int it = 0; it < 200; ++it) {
     const double m1 = lo + (hi - lo) / 3.0;
     const double m2 = hi - (hi - lo) / 3.0;
+    const double prev_lo = lo;
+    const double prev_hi = hi;
     if (gap(m1, nullptr) < gap(m2, nullptr)) {
       lo = m1;
     } else {
       hi = m2;
     }
+    // Fixpoint: every later iteration would recompute the same m1, m2 and
+    // branch, so stopping here returns the bits 200 iterations would.
+    if (lo == prev_lo && hi == prev_hi) break;
   }
   RtFit fit;
   const double rhat = 0.5 * (lo + hi);
@@ -162,26 +274,32 @@ std::size_t grain_for(std::size_t work_per_item) {
       1, kGrainWork / std::max<std::size_t>(work_per_item, 1));
 }
 
+/// Work tallies of one primal-heuristic run.
+struct HeuristicCounters {
+  std::size_t fit_probes = 0;    // fit_rt calls
+  std::size_t flip_scores = 0;   // polish flips scored
+  std::size_t polish_flips = 0;  // polish flips applied
+};
+
 /// Root-LP rounding + exact (rhat, that) refit + greedy bit-flip repair.
-/// Returns a feasible point when it finds one. Candidate evaluations fan out
-/// over `threads`; every selection scan stays in ascending keyword order, so
-/// the result is bit-identical to the serial implementation (all candidate
+/// Returns a feasible point when it finds one. fit_rt probes fan out over
+/// `threads`; every selection scan stays in ascending keyword order, so the
+/// result is bit-identical to the serial implementation (all candidate
 /// inputs are small-integer vectors — exact in doubles under any grouping).
 std::optional<MipAttackResult> primal_heuristic(
     const std::vector<sse::KnownBinaryPair>& known_pairs, const Vec& c,
     double mu, double sigma, const MipAttackOptions& options,
     const Model& model, std::optional<opt::SimplexSolver>& solver,
-    std::size_t threads, std::size_t& fit_probes, MipWarmState& warm) {
+    std::size_t threads, HeuristicCounters& counters, MipWarmState& warm) {
   const std::size_t d = known_pairs[0].record.size();
   const std::size_t m = known_pairs.size();
   const double lsigma = options.l * sigma;
+  const detail::RecordIncidence incidence(known_pairs);
 
-  // a +/- delta on the rows whose record contains keyword k — the O(m)
+  // a +/- delta on the rows whose record contains keyword k — the
   // incremental form of inner_products after flipping bit k.
   const auto add_column = [&](Vec& a, std::size_t k, double delta) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (known_pairs[i].record[k] != 0) a[i] += delta;
-    }
+    for (const std::uint32_t i : incidence.rows_with(k)) a[i] += delta;
   };
 
   const bool use_lp =
@@ -246,11 +364,8 @@ std::optional<MipAttackResult> primal_heuristic(
 
   const auto inner_products = [&](const BitVec& q) {
     Vec a(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const BitVec& p = known_pairs[i].record;
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) s += (p[k] && q[k]) ? 1.0 : 0.0;
-      a[i] = s;
+    for (std::size_t k = 0; k < d; ++k) {
+      if (q[k] != 0) add_column(a, k, 1.0);
     }
     return a;
   };
@@ -264,7 +379,7 @@ std::optional<MipAttackResult> primal_heuristic(
     Vec a = inner_products(q);
     std::vector<RtFit> fits(d);
     for (std::size_t round = 0; round < d; ++round) {
-      fit_probes += d;
+      counters.fit_probes += d;
       // Evaluate every candidate addition in parallel (each probe refits the
       // two continuous variables against a + column_k — exact integers, so
       // identical to the serial recomputation)...
@@ -305,75 +420,38 @@ std::optional<MipAttackResult> primal_heuristic(
   // Maximum-likelihood polish. Every point in the Eq. (14) feasible set is a
   // valid output of Algorithm 2, but the set can be loose at small m; the
   // true query is the feasible point whose implied noise terms
-  // rhat*c_i - that - a_i look most like N(mu, sigma^2). Coordinate-descent
-  // on the residual sum of squares (with (rhat, that) refit by closed-form
-  // regression of a_i + mu on c_i), accepting only feasibility-preserving
-  // flips, pulls an arbitrary feasible point toward the true one.
-  const auto regression_sse = [&](const Vec& a) {
-    const std::size_t n = c.size();
-    double cbar = 0.0, bbar = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      cbar += c[i];
-      bbar += a[i] + mu;
-    }
-    cbar /= static_cast<double>(n);
-    bbar /= static_cast<double>(n);
-    double sxy = 0.0, sxx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sxy += (c[i] - cbar) * (a[i] + mu - bbar);
-      sxx += (c[i] - cbar) * (c[i] - cbar);
-    }
-    const double rhat =
-        std::clamp(sxx > 0.0 ? sxy / sxx : options.rhat_min, options.rhat_min,
-                   options.rhat_max);
-    const double that =
-        std::clamp(rhat * cbar - bbar, options.that_min, options.that_max);
-    double sse = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double e = rhat * c[i] - that - (a[i] + mu);
-      sse += e * e;
-    }
-    return sse;
-  };
-
+  // rhat*c_i - that - a_i look most like N(mu, sigma^2). Coordinate descent
+  // on the residual sum of squares of the (rhat, that) regression of
+  // a_i + mu on c_i pulls an arbitrary point toward the true one.
+  //
   // Unconstrained descent: the feasibility requirement is dropped while
   // walking (the SSE valley between a shrunk feasible point and the true
   // query passes through infeasible intermediates); only the *final* point
-  // must satisfy Eq. (14).
-  auto polish = [&](BitVec q) {
-    Vec a = inner_products(q);
-    double cur = regression_sse(a);
-    std::vector<double> sse(d);
+  // must satisfy Eq. (14). Returns the local minimum and its SSE.
+  detail::FlipScorer scorer(incidence, c, mu, options);
+  auto polish = [&](const BitVec& q0) {
+    scorer.reset(q0);
+    double cur = scorer.sse();
     for (std::size_t round = 0; round < 6 * d; ++round) {
-      const std::size_t ones = popcount(q);
-      // Probe every single-bit flip in parallel; each probe's a2 is exact,
-      // so sse[k] matches the serial recomputation bit for bit.
-      par::parallel_for(
-          0, d, grain_for(4 * m),
-          [&](std::size_t k) {
-            if (q[k] != 0 && ones == 1) {  // keep >= 1 keyword
-              sse[k] = opt::kInfinity;
-              return;
-            }
-            Vec a2 = a;
-            add_column(a2, k, q[k] != 0 ? -1.0 : 1.0);
-            sse[k] = regression_sse(a2);
-          },
-          threads);
+      const BitVec& q = scorer.query();
+      const bool last_keyword = scorer.ones() == 1;
       double best_sse = cur;
       std::size_t arg = d;
       for (std::size_t k = 0; k < d; ++k) {
-        if (sse[k] < best_sse - 1e-9) {
-          best_sse = sse[k];
+        if (q[k] != 0 && last_keyword) continue;  // keep >= 1 keyword
+        const double sse = scorer.flip_sse(k);
+        if (sse < best_sse - 1e-9) {
+          best_sse = sse;
           arg = k;
         }
       }
+      counters.flip_scores += last_keyword ? d - 1 : d;
       if (arg == d) break;  // local minimum
-      add_column(a, arg, q[arg] != 0 ? -1.0 : 1.0);
-      q[arg] ^= 1;
+      scorer.flip(arg);
+      ++counters.polish_flips;
       cur = best_sse;
     }
-    return q;
+    return std::make_pair(scorer.query(), scorer.sse());
   };
 
   auto package = [&](BitVec q, RtFit fit) {
@@ -406,7 +484,7 @@ std::optional<MipAttackResult> primal_heuristic(
   // of d alone; 16-ish chunks keep the rebuild cost a small fraction of the
   // fit_rt work.
   std::vector<RtFit> prefix_fits(d);
-  fit_probes += d;
+  counters.fit_probes += d;
   {
     obs::Span span("mip/prefix_scan");
     par::default_pool().run_chunked(
@@ -454,8 +532,7 @@ std::optional<MipAttackResult> primal_heuristic(
     while (s <= d) {
       BitVec q0(d, 0);
       for (std::size_t i = 0; i < s; ++i) q0[order[i]] = 1;
-      BitVec qd = polish(std::move(q0));
-      const double sse = regression_sse(inner_products(qd));
+      auto [qd, sse] = polish(q0);
       if (sse < best_sse) {
         best_sse = sse;
         best_ml = std::move(qd);
@@ -463,7 +540,7 @@ std::optional<MipAttackResult> primal_heuristic(
       s = std::max(s + 1, s + s / 3);  // geometric-ish ladder
     }
     if (!best_ml.empty()) {
-      fit_probes += 1;
+      counters.fit_probes += 1;
       const RtFit fit = fit_rt(c, inner_products(best_ml), mu, lsigma, options);
       if (fit.feasible) return package(std::move(best_ml), fit);
     }
@@ -484,7 +561,7 @@ std::optional<MipAttackResult> primal_heuristic(
   std::vector<RtFit> flip_fits(d);
   for (std::size_t flip = 0; flip < max_flips; ++flip) {
     const std::size_t ones = popcount(q);
-    fit_probes += d;
+    counters.fit_probes += d;
     par::parallel_for(
         0, d, grain_for(200 * m),
         [&](std::size_t k) {
@@ -565,7 +642,7 @@ MipAttackResult run_mip_attack(
   }
 
   MipAttackResult result;
-  std::size_t fit_probes = 0;
+  HeuristicCounters heuristic_counters;
   bool answered = false;
   if (options.use_heuristic) {
     obs::Span span("mip/heuristic");
@@ -575,7 +652,7 @@ MipAttackResult run_mip_attack(
     }
     auto heuristic =
         primal_heuristic(known_pairs, c, mu, sigma, options, model, solver,
-                         ctx.resolved_threads(), fit_probes, *ws);
+                         ctx.resolved_threads(), heuristic_counters, *ws);
     if (heuristic.has_value()) {
       result = *std::move(heuristic);
       answered = true;
@@ -618,7 +695,11 @@ MipAttackResult run_mip_attack(
   result.telemetry.counters["mip.model_cols"] =
       static_cast<double>(model.num_variables());
   result.telemetry.counters["mip.heuristic.fit_probes"] =
-      static_cast<double>(fit_probes);
+      static_cast<double>(heuristic_counters.fit_probes);
+  result.telemetry.counters["mip.heuristic.flip_scores"] =
+      static_cast<double>(heuristic_counters.flip_scores);
+  result.telemetry.counters["mip.heuristic.polish_flips"] =
+      static_cast<double>(heuristic_counters.polish_flips);
   result.telemetry.counters["mip.bnb.nodes"] = static_cast<double>(bnb_nodes);
   result.telemetry.counters["mip.bnb.simplex_iterations"] =
       static_cast<double>(bnb_pivots);

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/exec_context.hpp"
 #include "core/telemetry.hpp"
@@ -86,7 +87,8 @@ struct MipAttackResult {
   opt::MipStatus status = opt::MipStatus::NotRun;
   /// Wall time, span summary and counter snapshot for this run. Driver
   /// counters: "mip.bnb.nodes", "mip.bnb.simplex_iterations",
-  /// "mip.heuristic.fit_probes", "mip.model_rows", plus the propagation
+  /// "mip.heuristic.fit_probes", "mip.heuristic.flip_scores",
+  /// "mip.heuristic.polish_flips", "mip.model_rows", plus the propagation
   /// tallies "mip.cuts_added", "mip.rc_fixings", "mip.strong_branches" and
   /// "mip.restarts" (all zero when the heuristic answers).
   AttackTelemetry telemetry;
@@ -122,12 +124,12 @@ struct MipWarmState {
 /// ExecContext last, both defaulted — the default ExecContext runs serially,
 /// matching the historical options-only form.
 ///
-/// The primal heuristic's candidate evaluations (the per-keyword fit_rt /
-/// SSE probes that dominate Algorithm 2's runtime) fan out over ctx.threads,
-/// with selection done serially in keyword order — the recovered query is
-/// bit-identical to the serial path. The attack consumes no randomness;
-/// ctx.seed is unused. Only telemetry (wall clock) varies across thread
-/// counts.
+/// The primal heuristic's per-keyword fit_rt probes fan out over
+/// ctx.threads, with selection done serially in keyword order; the
+/// maximum-likelihood polish scores its flips serially in closed form
+/// (detail::FlipScorer). The recovered query is bit-identical at any thread
+/// count. The attack consumes no randomness; ctx.seed is unused. Only
+/// telemetry (wall clock) varies across thread counts.
 [[nodiscard]] MipAttackResult run_mip_attack(
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
@@ -153,5 +155,94 @@ struct MipWarmState {
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
     const MipAttackOptions& options);
+
+namespace detail {
+
+/// Sparse incidence of the known records, both ways, in CSR form: the rows
+/// whose record contains keyword k, and the keywords record i contains (both
+/// ascending).
+struct RecordIncidence {
+  explicit RecordIncidence(
+      const std::vector<sse::KnownBinaryPair>& known_pairs);
+
+  [[nodiscard]] std::size_t num_keywords() const {
+    return row_start_.size() - 1;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> rows_with(std::size_t k) const {
+    return {rows_.data() + row_start_[k], rows_.data() + row_start_[k + 1]};
+  }
+  [[nodiscard]] std::span<const std::uint32_t> keywords_in(
+      std::size_t i) const {
+    return {keywords_.data() + keyword_start_[i],
+            keywords_.data() + keyword_start_[i + 1]};
+  }
+
+ private:
+  std::vector<std::size_t> row_start_;      // d + 1 offsets into rows_
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::size_t> keyword_start_;  // m + 1 offsets into keywords_
+  std::vector<std::uint32_t> keywords_;
+};
+
+/// The maximum-likelihood objective of Algorithm 2's polish in closed form.
+/// For a binary query q with inner products a_i = P_i.q, the (rhat, that)
+/// regression of a_i + mu on the scores c_i leaves the residual sum of
+/// squares
+///
+///   SSE = rhat^2 Sxx - 2 rhat Sxy + Syy + m r0^2,
+///
+/// with c~ = c - cbar, Sxx = sum c~^2, Sxy = sum c~_i a_i,
+/// Syy = sum a^2 - (sum a)^2 / m, rhat = Sxy / Sxx and that = rhat cbar - bbar
+/// clamped to the option bounds, and r0 the part of that's residual the
+/// clamp leaves. Flipping keyword k by delta = +-1 moves sum a by
+/// delta |S_k|, sum a^2 by 2 delta (P^T a)_k + |S_k| and Sxy by
+/// delta (P^T c~)_k, so every single-bit flip scores in O(1). The a-terms are
+/// integers, exact; Sxy is recomputed from a after each applied flip, so no
+/// rounding drift accumulates along a descent.
+class FlipScorer {
+ public:
+  /// `incidence` must outlive the scorer.
+  FlipScorer(const RecordIncidence& incidence, const Vec& c, double mu,
+             const MipAttackOptions& options);
+
+  /// Start a descent at `q` (d entries).
+  void reset(const BitVec& q);
+  [[nodiscard]] const BitVec& query() const { return q_; }
+  [[nodiscard]] std::size_t ones() const { return ones_; }
+  /// SSE of the current query.
+  [[nodiscard]] double sse() const { return score(sum_a_, sum_a2_, sxy_); }
+  /// SSE after flipping bit k of the current query.
+  [[nodiscard]] double flip_sse(std::size_t k) const {
+    const std::int64_t delta = q_[k] != 0 ? -1 : 1;
+    return score(sum_a_ + delta * col_size_[k],
+                 sum_a2_ + 2 * delta * pta_[k] + col_size_[k],
+                 sxy_ + static_cast<double>(delta) * ptc_[k]);
+  }
+  /// Apply the flip of bit k.
+  void flip(std::size_t k);
+
+ private:
+  [[nodiscard]] double score(std::int64_t sum_a, std::int64_t sum_a2,
+                             double sxy) const;
+
+  const RecordIncidence& incidence_;
+  double mu_;
+  double rhat_min_, rhat_max_, that_min_, that_max_;
+  double cbar_ = 0.0;
+  double sxx_ = 0.0;
+  Vec ctilde_;
+  std::vector<std::int64_t> col_size_;  // |S_k|
+  Vec ptc_;                             // (P^T c~)_k
+  // Descent state.
+  BitVec q_;
+  std::size_t ones_ = 0;
+  std::vector<std::int64_t> a_;    // P q
+  std::vector<std::int64_t> pta_;  // P^T a
+  std::int64_t sum_a_ = 0;
+  std::int64_t sum_a2_ = 0;
+  double sxy_ = 0.0;
+};
+
+}  // namespace detail
 
 }  // namespace aspe::core

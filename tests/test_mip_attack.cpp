@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/metrics.hpp"
 #include "data/quest.hpp"
 #include "data/queries.hpp"
@@ -146,6 +149,172 @@ TEST(MipAttack, ModelShape) {
   EXPECT_EQ(model.num_variables(), 2u + 10u);
   EXPECT_EQ(model.num_constraints(), 1u + 2u * 7u);
   EXPECT_TRUE(model.has_integer_variables());
+}
+
+// The three-pass regression of a_i + mu on c_i: the oracle the closed-form
+// flip scorer must reproduce. Also returns the unclamped slope and intercept
+// so tests can show which clamp binds.
+struct RegressionFit {
+  double slope = 0.0;      // Sxy / Sxx before rhat's clamp
+  double intercept = 0.0;  // rhat * cbar - bbar before that's clamp
+  double sse = 0.0;
+};
+
+RegressionFit regression(const Vec& c, const Vec& a, double mu,
+                         const MipAttackOptions& options) {
+  const std::size_t n = c.size();
+  double cbar = 0.0, bbar = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cbar += c[i];
+    bbar += a[i] + mu;
+  }
+  cbar /= static_cast<double>(n);
+  bbar /= static_cast<double>(n);
+  double sxy = 0.0, sxx = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sxy += (c[i] - cbar) * (a[i] + mu - bbar);
+    sxx += (c[i] - cbar) * (c[i] - cbar);
+  }
+  RegressionFit fit;
+  fit.slope = sxx > 0.0 ? sxy / sxx : options.rhat_min;
+  const double rhat =
+      std::clamp(fit.slope, options.rhat_min, options.rhat_max);
+  fit.intercept = rhat * cbar - bbar;
+  const double that =
+      std::clamp(fit.intercept, options.that_min, options.that_max);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double e = rhat * c[i] - that - (a[i] + mu);
+    fit.sse += e * e;
+  }
+  return fit;
+}
+
+Vec inner_products(const std::vector<sse::KnownBinaryPair>& pairs,
+                   const BitVec& q) {
+  Vec a(pairs.size(), 0.0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (std::size_t k = 0; k < q.size(); ++k) {
+      a[i] += (pairs[i].record[k] != 0 && q[k] != 0) ? 1.0 : 0.0;
+    }
+  }
+  return a;
+}
+
+/// Checks the scorer's current SSE and every single-bit flip score against
+/// the oracle run on the explicitly flipped vector.
+void expect_scores_match_oracle(const detail::FlipScorer& scorer,
+                                const std::vector<sse::KnownBinaryPair>& pairs,
+                                const Vec& c, double mu,
+                                const MipAttackOptions& options) {
+  const BitVec& q = scorer.query();
+  const double here = regression(c, inner_products(pairs, q), mu, options).sse;
+  EXPECT_NEAR(scorer.sse(), here, 1e-9 * std::abs(here));
+  for (std::size_t k = 0; k < q.size(); ++k) {
+    BitVec flipped = q;
+    flipped[k] ^= 1;
+    const double want =
+        regression(c, inner_products(pairs, flipped), mu, options).sse;
+    EXPECT_NEAR(scorer.flip_sse(k), want, 1e-9 * std::abs(want)) << "k=" << k;
+  }
+}
+
+/// Seeded random instance: records of the given density, a random start
+/// query, and scores c_i = scale * (P_i.q_true + noise) + offset.
+struct FlipInstance {
+  std::vector<sse::KnownBinaryPair> pairs;
+  BitVec start;
+  Vec c;
+};
+
+FlipInstance make_flip_instance(std::size_t d, std::size_t m, double scale,
+                                double offset, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  FlipInstance inst;
+  const BitVec truth = rng.binary_with_k_ones(d, d / 4 + 1);
+  inst.start = rng.binary_with_k_ones(d, d / 3 + 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    sse::KnownBinaryPair pair;
+    pair.record = rng.binary_bernoulli(d, 0.3);
+    inst.pairs.push_back(std::move(pair));
+  }
+  const Vec a = inner_products(inst.pairs, truth);
+  for (std::size_t i = 0; i < m; ++i) {
+    inst.c.push_back(scale * (a[i] + rng.normal(1.0, 0.5)) + offset);
+  }
+  return inst;
+}
+
+/// The start query's unclamped regression (which clamps bind).
+RegressionFit start_fit(const FlipInstance& inst, double mu,
+                        const MipAttackOptions& options) {
+  return regression(inst.c, inner_products(inst.pairs, inst.start), mu,
+                    options);
+}
+
+/// Scores every flip at the start query, then walks a seeded sequence of
+/// flips (updating the incremental state) and re-checks after each one.
+void check_scorer_against_oracle(const FlipInstance& inst, double mu,
+                                 const MipAttackOptions& options,
+                                 std::uint64_t seed) {
+  const detail::RecordIncidence incidence(inst.pairs);
+  detail::FlipScorer scorer(incidence, inst.c, mu, options);
+  scorer.reset(inst.start);
+  expect_scores_match_oracle(scorer, inst.pairs, inst.c, mu, options);
+  rng::Rng rng(seed);
+  for (int step = 0; step < 6; ++step) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(inst.start.size()) - 1));
+    if (scorer.query()[k] != 0 && scorer.ones() == 1) continue;
+    scorer.flip(k);
+    EXPECT_EQ(scorer.ones(), popcount(scorer.query()));
+    expect_scores_match_oracle(scorer, inst.pairs, inst.c, mu, options);
+  }
+}
+
+TEST(MipFlipScorer, MatchesRegressionOracleOnRandomInstances) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const FlipInstance inst =
+        make_flip_instance(12 + 3 * seed, 20 + 5 * seed, 0.8, 0.3, seed);
+    check_scorer_against_oracle(inst, 1.0, MipAttackOptions{}, seed + 100);
+  }
+}
+
+TEST(MipFlipScorer, MatchesOracleWhenRhatClampBinds) {
+  // Scores anti-correlated with the inner products push the slope below
+  // rhat_min; a steep scale pushes it above a tight rhat_max.
+  MipAttackOptions low;
+  low.rhat_min = 0.5;
+  const FlipInstance anti = make_flip_instance(16, 30, -2.0, 40.0, 7);
+  EXPECT_LT(start_fit(anti, 1.0, low).slope, low.rhat_min);
+  check_scorer_against_oracle(anti, 1.0, low, 70);
+
+  MipAttackOptions high;
+  high.rhat_max = 0.1;
+  const FlipInstance steep = make_flip_instance(16, 30, 0.5, 0.0, 8);
+  EXPECT_GT(start_fit(steep, 1.0, high).slope, high.rhat_max);
+  check_scorer_against_oracle(steep, 1.0, high, 80);
+}
+
+TEST(MipFlipScorer, MatchesOracleWhenThatClampBinds) {
+  // A large mu drives rhat * cbar - bbar below that_min; a tight that_max
+  // with a large score offset caps it from above.
+  const MipAttackOptions defaults;
+  const FlipInstance inst = make_flip_instance(18, 32, 1.0, 0.0, 9);
+  EXPECT_LT(start_fit(inst, 50.0, defaults).intercept, defaults.that_min);
+  check_scorer_against_oracle(inst, 50.0, defaults, 90);
+
+  MipAttackOptions capped;
+  capped.that_max = 0.5;
+  const FlipInstance shifted = make_flip_instance(18, 32, 1.0, 30.0, 10);
+  EXPECT_GT(start_fit(shifted, 1.0, capped).intercept, capped.that_max);
+  check_scorer_against_oracle(shifted, 1.0, capped, 100);
+}
+
+TEST(MipFlipScorer, MatchesOracleWhenScoresAreConstant) {
+  // Sxx = 0: rhat falls back to rhat_min and only the a-terms remain.
+  FlipInstance inst = make_flip_instance(14, 25, 1.0, 0.0, 11);
+  for (double& ci : inst.c) ci = 2.0;
+  check_scorer_against_oracle(inst, 1.0, MipAttackOptions{}, 110);
 }
 
 TEST(MipAttack, Validation) {

@@ -251,6 +251,52 @@ TEST(ExecContextDeterminism, MipBatchIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ExecContextDeterminism, MipCorrelationRootIdenticalAcrossThreadCounts) {
+  // The correlation root skips the LP and answers through the ML descent,
+  // the path the batch test above does not reach.
+  const std::size_t d = 60, m = 60;
+  scheme::MrseOptions opt;
+  opt.vocab_dim = d;
+  sse::RankedSearchSystem system(opt, 43);
+  rng::Rng rng(44);
+  data::QuestOptions qopt;
+  qopt.num_items = d;
+  qopt.density = 0.2;
+  qopt.num_transactions = m;
+  system.upload_records(data::QuestGenerator(qopt, rng.child(1)).generate());
+  for (int j = 0; j < 3; ++j) {
+    system.ranked_query(rng.binary_with_k_ones(d, 6), 5);
+  }
+  std::vector<std::size_t> ids(m);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  const auto view = sse::leak_known_records(system, ids);
+
+  core::MipAttackOptions aopt;
+  aopt.root_ordering = core::RootOrdering::Correlation;
+  aopt.solver.time_limit_seconds = 10.0;
+  core::ExecContext ctx1;
+  ctx1.threads = 1;
+  core::ExecContext ctx4;
+  ctx4.threads = 4;
+  for (std::size_t j = 0; j < 3; ++j) {
+    const auto r1 = core::run_mip_attack(view, j, opt.mu, opt.sigma, aopt, ctx1);
+    const auto r4 = core::run_mip_attack(view, j, opt.mu, opt.sigma, aopt, ctx4);
+    ASSERT_TRUE(r1.found) << j;
+    EXPECT_EQ(r1.status, opt::MipStatus::Heuristic) << j;
+    EXPECT_GT(r1.telemetry.counter("mip.heuristic.flip_scores"), 0.0) << j;
+    EXPECT_EQ(r1.found, r4.found) << j;
+    EXPECT_EQ(r1.query, r4.query) << j;
+    EXPECT_EQ(r1.rhat, r4.rhat) << j;
+    EXPECT_EQ(r1.that, r4.that) << j;
+    for (const char* name :
+         {"mip.heuristic.fit_probes", "mip.heuristic.flip_scores",
+          "mip.heuristic.polish_flips"}) {
+      EXPECT_EQ(r1.telemetry.counter(name), r4.telemetry.counter(name))
+          << name << " j=" << j;
+    }
+  }
+}
+
 TEST(ExecContextDeterminism, LepIdenticalToLegacyEntryPoint) {
   scheme::Scheme2Options sopt;
   sopt.record_dim = 5;
