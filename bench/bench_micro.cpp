@@ -841,8 +841,10 @@ void BM_SnmfAttackWarmStart(benchmark::State& state) {
 }
 BENCHMARK(BM_SnmfAttackWarmStart)->Arg(0)->Arg(1);
 
-/// BENCH_snmf.json: the sweep records plus the two headline speedups (the
-/// PR's acceptance numbers) and the cross-mode equality flags.
+/// BENCH_snmf.json: the sweep records, the two headline speedups, the
+/// absolute warm and cold attack times (so a change that slows both modes
+/// alike cannot hide behind an unchanged ratio) and the cross-mode equality
+/// flags.
 void write_snmf_json(const std::string& path) {
   if (snmf_records().empty()) return;  // sweep filtered out on this run
   // Keep only the last (fully measured) record per configuration; benchmark
@@ -901,6 +903,8 @@ void write_snmf_json(const std::string& path) {
       << (estimates_agree ? "true" : "false")
       << ",\n  \"attack_wallclock_speedup_cold_over_warm\": "
       << (warm_s > 0.0 ? cold_s / warm_s : 0.0)
+      << ",\n  \"attack_warm_seconds\": " << warm_s
+      << ",\n  \"attack_cold_seconds\": " << cold_s
       << ",\n  \"attack_outputs_bit_identical\": "
       << (bit_identical ? "true" : "false") << "\n}\n";
 }

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace aspe {
 
@@ -30,9 +31,16 @@ class NumericalError : public Error {
   explicit NumericalError(const std::string& what) : Error(what) {}
 };
 
-/// Require `cond`; throw InvalidArgument with `msg` otherwise.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw InvalidArgument(msg);
+namespace detail {
+/// Out-of-line failure path of `require`: builds the message and throws.
+[[noreturn]] [[gnu::cold]] void throw_invalid_argument(std::string_view msg);
+}  // namespace detail
+
+/// Require `cond`; throw InvalidArgument with `msg` otherwise. A passing
+/// check only tests `cond`: the message is a view, copied into a string on
+/// the cold failure path alone, so checks in hot loops never allocate.
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] detail::throw_invalid_argument(msg);
 }
 
 }  // namespace aspe

@@ -208,19 +208,6 @@ void gemm_blocked(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
 
 }  // namespace
 
-double dot(ConstVecView x, ConstVecView y) {
-  require(x.size() == y.size(), "dot: length mismatch");
-  double s = 0.0;
-  if (x.contiguous() && y.contiguous()) {
-    const double* xp = x.data();
-    const double* yp = y.data();
-    for (std::size_t i = 0; i < x.size(); ++i) s += xp[i] * yp[i];
-    return s;
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
-  return s;
-}
-
 void axpy(double alpha, ConstVecView x, VecView y) {
   require(x.size() == y.size(), "axpy: length mismatch");
   if (alpha == 0.0) return;

@@ -20,7 +20,20 @@
 namespace aspe::linalg {
 
 /// Inner product sum_i x[i] * y[i], accumulated in ascending index order.
-[[nodiscard]] double dot(ConstVecView x, ConstVecView y);
+/// Inline: the NNLS factor updates call it once per Cholesky entry, on
+/// vectors short enough that a call costs as much as the loop.
+[[nodiscard]] inline double dot(ConstVecView x, ConstVecView y) {
+  require(x.size() == y.size(), "dot: length mismatch");
+  double s = 0.0;
+  if (x.contiguous() && y.contiguous()) {
+    const double* xp = x.data();
+    const double* yp = y.data();
+    for (std::size_t i = 0; i < x.size(); ++i) s += xp[i] * yp[i];
+    return s;
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
+  return s;
+}
 
 /// y += alpha * x.
 void axpy(double alpha, ConstVecView x, VecView y);

@@ -64,22 +64,21 @@ double penalty(const Matrix& w, const Matrix& h, double eta, double lambda) {
 
 /// Eq. (18) via the Gram identity
 ///   ||R - W^T H||_F^2 = ||R||_F^2 - 2 <F, W> + <W W^T, H H^T>,  F = H R^T,
-/// O(d^2 (m + n)) given F, against the naive O(m n d) residual sweep. F is
-/// a by-product of both the ANLS W-half-step and the MU W-numerator, so
-/// per-iteration convergence checks get it for free. The small clamp
+/// O(d^2 (m + n)) given F and the Gram matrices gw = W W^T, gh = H H^T,
+/// against the naive O(m n d) residual sweep. F and gh are by-products of
+/// the W-half-step (ANLS or MU) and gw is the next H-half-step's Gram, so
+/// per-iteration convergence checks get them for free. The small clamp
 /// absorbs the cancellation roundoff that can push an (exactly tiny) fit a
 /// hair negative.
-double objective_from_gram(double r_fro2, const Matrix& f_w, const Matrix& w,
-                           const Matrix& h, double eta, double lambda,
-                           double* fit_error, std::size_t threads) {
+double objective_from_gram(double r_fro2, const Matrix& f_w, const Matrix& gw,
+                           const Matrix& gh, const Matrix& w, const Matrix& h,
+                           double eta, double lambda, double* fit_error) {
   double cross = 0.0;
   {
     const auto& fd = f_w.data();
     const auto& wd = w.data();
     for (std::size_t i = 0; i < fd.size(); ++i) cross += fd[i] * wd[i];
   }
-  const Matrix gw = gram_rows(w, threads);
-  const Matrix gh = gram_rows(h, threads);
   double quad = 0.0;
   {
     const auto& a = gw.data();
@@ -97,23 +96,26 @@ struct NnlsBatchStats {
   double solves = 0.0;
   double warm_starts = 0.0;
   double warm_hits = 0.0;
+  double factor_rows = 0.0;
 
   void absorb(const std::vector<NnlsWorkspace>& ws) {
     solves += static_cast<double>(ws.size());
     for (const auto& w : ws) {
       warm_starts += w.warm_started() ? 1.0 : 0.0;
       warm_hits += w.passive_set_reused() ? 1.0 : 0.0;
+      factor_rows += static_cast<double>(w.factor_rows_computed());
     }
   }
 };
 
 /// ANLS half step: solve for H in min ||R - W^T H|| + lambda L1^2 columns.
-/// Gram trick: G = W W^T + lambda * ones, F = W R.
-void update_h_anls(const Matrix& r, const Matrix& w, Matrix& h, double lambda,
-                   std::size_t threads, std::vector<NnlsWorkspace>& ws,
-                   bool warm, NnlsBatchStats& stats) {
+/// Gram trick: G = W W^T + lambda * ones, F = W R, with gw = W W^T.
+void update_h_anls(const Matrix& r, const Matrix& w, const Matrix& gw,
+                   Matrix& h, double lambda, std::size_t threads,
+                   std::vector<NnlsWorkspace>& ws, bool warm,
+                   NnlsBatchStats& stats) {
   const std::size_t d = w.rows();
-  Matrix g = gram_rows(w, threads);
+  Matrix g = gw;
   for (auto& x : g.data()) x += lambda;
   // Tiny ridge keeps principal submatrices SPD when W rows are degenerate.
   for (std::size_t k = 0; k < d; ++k) g(k, k) += 1e-10;
@@ -135,14 +137,16 @@ void update_h_anls(const Matrix& r, const Matrix& w, Matrix& h, double lambda,
 }
 
 /// ANLS half step for W: min ||R^T - H^T W|| + eta ||W||^2.
-/// Gram: G = H H^T + eta I, F = H R^T. F depends only on (H, R), both
-/// fixed for the rest of the iteration, so it is exported through f_w for
-/// the objective evaluation that follows.
+/// Gram: G = H H^T + eta I, F = H R^T. F and gh = H H^T depend only on
+/// (H, R), both fixed for the rest of the iteration, so they are exported
+/// through f_w and gh for the objective evaluation that follows.
 void update_w_anls(const Matrix& r, Matrix& w, const Matrix& h, double eta,
                    std::size_t threads, std::vector<NnlsWorkspace>& ws,
-                   bool warm, NnlsBatchStats& stats, Matrix& f_w) {
+                   bool warm, NnlsBatchStats& stats, Matrix& f_w,
+                   Matrix& gh) {
   const std::size_t d = h.rows();
-  Matrix g = gram_rows(h, threads);
+  gh = gram_rows(h, threads);
+  Matrix g = gh;
   for (std::size_t k = 0; k < d; ++k) g(k, k) += eta + 1e-10;
   // F = H R^T (d x m): transposition is an op flag into gemm, not a copy.
   const std::size_t m = r.rows();
@@ -157,11 +161,13 @@ void update_w_anls(const Matrix& r, Matrix& w, const Matrix& h, double eta,
   stats.absorb(ws);
 }
 
-/// Multiplicative updates for the same objective. The W-step numerator is
-/// H R^T with the already-updated H — exactly the F the objective needs —
-/// so it is computed straight into f_w.
-void update_mu(const Matrix& r, Matrix& w, Matrix& h, double eta,
-               double lambda, std::size_t threads, Matrix& f_w) {
+/// Multiplicative updates for the same objective. The H step reads
+/// gw = W W^T. The W-step numerator is H R^T with the already-updated H —
+/// exactly the F the objective needs — so it is computed straight into f_w,
+/// and the updated H's Gram is exported through gh likewise.
+void update_mu(const Matrix& r, Matrix& w, Matrix& h, const Matrix& gw,
+               double eta, double lambda, std::size_t threads, Matrix& f_w,
+               Matrix& gh) {
   constexpr double kEps = 1e-12;
   const std::size_t d = w.rows();
   const std::size_t m = w.cols();
@@ -169,12 +175,11 @@ void update_mu(const Matrix& r, Matrix& w, Matrix& h, double eta,
 
   // H <- H .* (W R) ./ (W W^T H + lambda * ones * H + eps)
   {
-    Matrix wwt = gram_rows(w, threads);
     Matrix numer(d, n);
     linalg::gemm(1.0, w.cview(), Op::None, r.cview(), Op::None, 0.0,
                  numer.view(), threads);
     Matrix denom(d, n);
-    linalg::gemm(1.0, wwt.cview(), Op::None, h.cview(), Op::None, 0.0,
+    linalg::gemm(1.0, gw.cview(), Op::None, h.cview(), Op::None, 0.0,
                  denom.view(), threads);
     // + lambda * (column sums of H broadcast to every row)
     for_each_index(n, 2 * d, threads, [&](std::size_t j) {
@@ -191,12 +196,12 @@ void update_mu(const Matrix& r, Matrix& w, Matrix& h, double eta,
 
   // W <- W .* (H R^T) ./ (H H^T W + eta W + eps)
   {
-    Matrix hht = gram_rows(h, threads);
+    gh = gram_rows(h, threads);
     if (f_w.rows() != d || f_w.cols() != m) f_w = Matrix(d, m);
     linalg::gemm(1.0, h.cview(), Op::None, r.cview(), Op::Transpose, 0.0,
                  f_w.view(), threads);
     Matrix denom(d, m);
-    linalg::gemm(1.0, hht.cview(), Op::None, w.cview(), Op::None, 0.0,
+    linalg::gemm(1.0, gh.cview(), Op::None, w.cview(), Op::None, 0.0,
                  denom.view(), threads);
     for_each_index(d, m, threads, [&](std::size_t k) {
       for (std::size_t i = 0; i < m; ++i) {
@@ -373,24 +378,30 @@ NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
   linalg::gemm(1.0, result.h.cview(), Op::None, r.cview(), Op::Transpose, 0.0,
                f_w.view(), threads);
 
-  double prev_obj = objective_from_gram(r_fro2, f_w, result.w, result.h,
-                                        options.eta, options.lambda, nullptr,
-                                        threads);
+  // Unridged Gram matrices of the current factors. Each iteration forms
+  // gh = H H^T once in its W-half-step and gw = W W^T once after it; both
+  // feed the objective, and gw is also the next H-half-step's Gram.
+  Matrix gw = gram_rows(result.w, threads);
+  Matrix gh = gram_rows(result.h, threads);
+  double prev_obj = objective_from_gram(r_fro2, f_w, gw, gh, result.w,
+                                        result.h, options.eta, options.lambda,
+                                        nullptr);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     if (anls) {
-      update_h_anls(r, result.w, result.h, options.lambda, threads, ws_h,
+      update_h_anls(r, result.w, gw, result.h, options.lambda, threads, ws_h,
                     warm, stats);
       update_w_anls(r, result.w, result.h, options.eta, threads, ws_w, warm,
-                    stats, f_w);
+                    stats, f_w, gh);
     } else {
-      update_mu(r, result.w, result.h, options.eta, options.lambda, threads,
-                f_w);
+      update_mu(r, result.w, result.h, gw, options.eta, options.lambda,
+                threads, f_w, gh);
     }
+    gw = gram_rows(result.w, threads);
     obs::counter_add(anls ? "nmf.anls_iterations" : "nmf.mu_iterations", 1.0);
     result.iterations = it + 1;
     const double obj =
-        objective_from_gram(r_fro2, f_w, result.w, result.h, options.eta,
-                            options.lambda, nullptr, threads);
+        objective_from_gram(r_fro2, f_w, gw, gh, result.w, result.h,
+                            options.eta, options.lambda, nullptr);
     if (std::abs(prev_obj - obj) <=
         options.rel_tol * std::max(1.0, std::abs(prev_obj))) {
       prev_obj = obj;
@@ -399,12 +410,13 @@ NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
     prev_obj = obj;
   }
   result.objective =
-      objective_from_gram(r_fro2, f_w, result.w, result.h, options.eta,
-                          options.lambda, &result.fit_error, threads);
+      objective_from_gram(r_fro2, f_w, gw, gh, result.w, result.h,
+                          options.eta, options.lambda, &result.fit_error);
   if (obs::enabled() && stats.solves > 0.0) {
     obs::counter_add("nnls.solves", stats.solves);
     obs::counter_add("nnls.warm_starts", stats.warm_starts);
     obs::counter_add("nnls.warm_hits", stats.warm_hits);
+    obs::counter_add("nnls.factor_rows", stats.factor_rows);
     // Fraction of solves that finished on the inherited passive set — the
     // quantity that predicts the warm-start payoff for this input.
     obs::gauge_set("nmf.passive_reuse_rate", stats.warm_hits / stats.solves);

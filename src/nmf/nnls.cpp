@@ -28,6 +28,16 @@ void NnlsWorkspace::seed_from_support(ConstVecView x) {
   }
 }
 
+void NnlsWorkspace::reserve(std::size_t n) {
+  if (in_passive_.size() != n) in_passive_.assign(n, false);
+  passive_.reserve(n);
+  inherited_.reserve(n);
+  next_.reserve(n);
+  z_.reserve(n);
+  w_.reserve(n);
+  step_.reserve(n);
+}
+
 void NnlsWorkspace::ensure_capacity(std::size_t k, std::size_t n) {
   if (l_.rows() >= k) return;
   // Geometric growth, clamped to the Gram dimension (the support can never
@@ -102,7 +112,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
       (ws.in_passive_.size() != n || ws.passive_.back() >= n)) {
     ws.passive_.clear();
   }
-  if (ws.in_passive_.size() != n) ws.in_passive_.assign(n, false);
+  ws.reserve(n);
 
   // Scale-aware dual tolerance.
   double scale = 1.0;
@@ -135,7 +145,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
   if (!warm) {
     for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
   }
-  const std::vector<std::size_t> inherited = ws.passive_;
+  ws.inherited_.assign(ws.passive_.begin(), ws.passive_.end());
 
   auto write_solution = [&] {
     for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
@@ -176,21 +186,20 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
       }
       // Drop passive variables that became (numerically) zero; the factor
       // stays valid above the lowest removed position.
-      std::vector<std::size_t> next;
-      next.reserve(ws.passive_.size());
+      ws.next_.clear();
       std::size_t lowest_removed = ws.passive_.size();
       for (std::size_t a = 0; a < ws.passive_.size(); ++a) {
         const std::size_t j = ws.passive_[a];
         if (x[j] > 1e-12) {
-          next.push_back(j);
+          ws.next_.push_back(j);
         } else {
           x[j] = 0.0;
           ws.in_passive_[j] = false;
-          lowest_removed = std::min(lowest_removed, next.size());
+          lowest_removed = std::min(lowest_removed, ws.next_.size());
         }
       }
       if (lowest_removed < ws.passive_.size()) {
-        ws.passive_ = std::move(next);
+        ws.passive_.swap(ws.next_);
         ws.refactor_from(g, lowest_removed);
       }
       if (ws.passive_.empty()) return;
@@ -240,7 +249,7 @@ void nnls_gram(const Matrix& g, ConstVecView f, VecView x, NnlsWorkspace& ws,
     ws.refactor_from(g, p);
     run_inner(false);
   }
-  ws.set_reused_ = warm && ws.passive_ == inherited;
+  ws.set_reused_ = warm && ws.passive_ == ws.inherited_;
 }
 
 void nnls_gram(const Matrix& g, ConstVecView f, VecView x,

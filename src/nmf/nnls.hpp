@@ -84,7 +84,14 @@ class NnlsWorkspace {
   /// z_ <- G_PP^{-1} f_P via the current factor (forward + back subst).
   void solve_passive(linalg::ConstVecView f);
 
-  std::vector<std::size_t> passive_;  // ascending
+  /// Size every scratch buffer for a dimension-n problem. A no-op once the
+  /// workspace has solved at this size: a warm solve then allocates only
+  /// when its support outgrows the factor buffer.
+  void reserve(std::size_t n);
+
+  std::vector<std::size_t> passive_;    // ascending
+  std::vector<std::size_t> inherited_;  // passive_ on entry to the call
+  std::vector<std::size_t> next_;       // inner-loop survivors scratch
   std::vector<bool> in_passive_;
   linalg::Matrix l_;  // factor buffer; leading k x k lower triangle in use
   Vec z_;             // passive-block solution, aligned with passive_

@@ -295,12 +295,14 @@ MipResult solve_mip(Model& model, SimplexSolver& solver,
     std::size_t depth;  // deltas on the path including this one
   };
   using PathPtr = std::shared_ptr<const PathDelta>;
+  // Each applied delta keeps its node alive: the open list may drop the
+  // last other owner while the delta is still on the solver's trail.
   struct Applied {
-    const PathDelta* delta;
+    PathPtr delta;
     double lb, ub;  // solver bounds before this delta
   };
   std::vector<Applied> applied;
-  std::vector<const PathDelta*> target;  // scratch for switch_to
+  std::vector<const PathPtr*> target;  // scratch for switch_to
 
   const auto rewind_all = [&]() {
     while (!applied.empty()) {
@@ -314,13 +316,13 @@ MipResult solve_mip(Model& model, SimplexSolver& solver,
   // on the path is an empty interval.
   const auto switch_to = [&](const PathPtr& path) -> bool {
     target.clear();
-    for (const PathDelta* d = path.get(); d; d = d->parent.get()) {
+    for (const PathPtr* d = &path; *d; d = &(*d)->parent) {
       target.push_back(d);
     }
     std::reverse(target.begin(), target.end());
     std::size_t common = 0;
     while (common < applied.size() && common < target.size() &&
-           applied[common].delta == target[common]) {
+           applied[common].delta == *target[common]) {
       ++common;
     }
     while (applied.size() > common) {
@@ -329,7 +331,7 @@ MipResult solve_mip(Model& model, SimplexSolver& solver,
       applied.pop_back();
     }
     for (std::size_t i = common; i < target.size(); ++i) {
-      const PathDelta* d = target[i];
+      const PathPtr& d = *target[i];
       if (d->lb > d->ub) return false;  // empty branch interval
       applied.push_back(
           {d, solver.lower_bound(d->var), solver.upper_bound(d->var)});
@@ -774,7 +776,7 @@ MipResult solve_mip(Model& model, SimplexSolver& solver,
           if (new_hi >= hi - 0.5 && new_lo <= lo + 0.5) continue;
           path = std::make_shared<const PathDelta>(PathDelta{
               j, new_lo, new_hi, path, (path ? path->depth : 0) + 1});
-          applied.push_back({path.get(), lo, hi});
+          applied.push_back({path, lo, hi});
           solver.set_bounds(j, new_lo, new_hi);
           ++result.rc_fixings;
         }
@@ -877,7 +879,7 @@ MipResult solve_mip(Model& model, SimplexSolver& solver,
                 path = std::make_shared<const PathDelta>(PathDelta{
                     v, forced_lo, forced_hi, path,
                     (path ? path->depth : 0) + 1});
-                applied.push_back({path.get(), lo, hi});
+                applied.push_back({path, lo, hi});
                 solver.set_bounds(v, forced_lo, forced_hi);
               }
               ++result.rc_fixings;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "linalg/cholesky.hpp"
 #include "linalg/vector_ops.hpp"
 #include "rng/rng.hpp"
 
@@ -199,6 +202,80 @@ TEST(Nnls, UpDowndateStress) {
       prev = idx;
     }
   }
+}
+
+/// Compare x on its support against linalg::Cholesky(G_PP).solve(f_P),
+/// which performs the same per-entry arithmetic as the workspace factor:
+/// the two must agree bit for bit. Returns the support size.
+std::size_t expect_cholesky_oracle(const Matrix& g, const Vec& f,
+                                   const Vec& x) {
+  std::vector<std::size_t> support;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] > 0.0) support.push_back(i);
+  }
+  if (support.empty()) return 0;
+  const std::size_t k = support.size();
+  Matrix g_pp(k, k);
+  Vec f_p(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    f_p[a] = f[support[a]];
+    for (std::size_t b = 0; b < k; ++b) g_pp(a, b) = g(support[a], support[b]);
+  }
+  const Vec z = linalg::Cholesky(g_pp).solve(f_p);
+  for (std::size_t a = 0; a < k; ++a) {
+    EXPECT_EQ(x[support[a]], z[a]) << "variable " << support[a];  // bitwise
+  }
+  return k;
+}
+
+TEST(Nnls, SolutionMatchesCholeskyOracleBitwise) {
+  rng::Rng rng(41);
+  // Cold solves of assorted sizes.
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t k = 4 + static_cast<std::size_t>(rng.uniform_int(0, 12));
+    Matrix g;
+    Vec f;
+    random_gram_problem(k, rng, g, f);
+    checked += expect_cholesky_oracle(g, f, nnls_gram(g, f));
+  }
+  EXPECT_GT(checked, 40u);
+
+  // Warm sequences: a drifting Gram matrix and a churning right-hand side
+  // make variables enter and leave between consecutive solves.
+  const std::size_t k = 12, rows = k + 4;
+  Matrix a(rows, k);
+  for (auto& v : a.data()) v = rng.uniform(-1.0, 1.0);
+  NnlsWorkspace ws;
+  Vec x(k, 0.0);
+  std::vector<std::size_t> prev_set;
+  bool entered = false, dropped = false;
+  for (int t = 0; t < 30; ++t) {
+    for (auto& v : a.data()) v += 0.05 * rng.uniform(-1.0, 1.0);
+    Matrix g(k, k, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t r = 0; r < rows; ++r) g(i, j) += a(r, i) * a(r, j);
+      }
+    }
+    const Vec f = a.apply_transposed(rng.uniform_vec(rows, -1.0, 1.0));
+    nnls_gram(g, f, linalg::VecView(x), ws);
+    expect_cholesky_oracle(g, f, x);
+    const auto& set = ws.passive_set();
+    for (std::size_t j : set) {
+      entered = entered || !std::binary_search(prev_set.begin(),
+                                               prev_set.end(), j);
+    }
+    for (std::size_t j : prev_set) {
+      dropped = dropped || !std::binary_search(set.begin(), set.end(), j);
+    }
+    if (t > 0) {
+      EXPECT_TRUE(ws.warm_started()) << t;
+    }
+    prev_set = set;
+  }
+  EXPECT_TRUE(entered);
+  EXPECT_TRUE(dropped);
 }
 
 TEST(Nnls, WorkspaceSanitizedOnProblemSizeChange) {
