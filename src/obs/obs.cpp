@@ -124,12 +124,22 @@ ScopedRecording::ScopedRecording(Sink* sink) {
     return;  // lost the installation race — stay passive
   }
   auto recorder = std::make_unique<Recorder>();
-  recorder->start = Clock::now();
-  recorder->epoch_ns = ns_since(process_epoch());
+  // Register the installing thread's buffer (tid 0), its open-span stack
+  // already allocated and touched, before the clock starts: opening the
+  // caller's root span then neither allocates nor page-faults, so no kernel
+  // entry (a preemption point) separates the recording's start from it.
+  auto buffer = std::make_unique<ThreadBuffer>();
+  buffer->stack.resize(8);
+  buffer->stack.clear();
+  t_buffer = buffer.get();
+  recorder->buffers.push_back(std::move(buffer));
   // Bump the generation *before* publishing the recorder: the release store
   // below makes the bump visible to any thread that sees the new recorder,
   // so buffers cached from a previous recording are always discarded.
-  g_generation.fetch_add(1, std::memory_order_release);
+  t_buffer_generation =
+      g_generation.fetch_add(1, std::memory_order_release) + 1;
+  recorder->epoch_ns = ns_since(process_epoch());
+  recorder->start = Clock::now();
   g_recorder.store(recorder.release(),  // owned via g_recorder until finish()
                    std::memory_order_release);
   sink_ = sink;

@@ -635,11 +635,11 @@ core::AttackResponse Daemon::execute_resolved(
           resolved.request = std::move(r);
           if (!identified) return core::dispatch_attack(resolved, ctx);
           // Persistent MIP basis cache: repeated jobs over the same corpora
-          // and parameters warm-start the root LP and reuse the root cut
-          // pool. run_mip_attack self-invalidates on model-digest mismatch,
-          // so the parameter key only scopes contention; correctness never
-          // depends on it. The entry mutex serializes the whole attack per
-          // key — two identical jobs never race on the shared basis.
+          // and parameters warm-start the root LP. run_mip_attack
+          // self-invalidates on model-digest mismatch, so the parameter key
+          // only scopes contention; correctness never depends on it. The
+          // entry mutex serializes the whole attack per key — two identical
+          // jobs never race on the shared basis.
           std::ostringstream key;
           key << kp_fp << '#' << db_fp << '#' << td_fp
               << "#tid=" << typed.trapdoor_id << "#mu=" << key_f64(typed.mu)

@@ -160,9 +160,9 @@ class Daemon {
     std::shared_ptr<const std::vector<scheme::CipherPair>> ciphers;
     std::shared_ptr<const std::vector<Vec>> vecs;
   };
-  /// One persistent MIP warm state (root basis + cut pool). Serialized per
-  /// key: the entry mutex is held across the whole attack, so two identical
-  /// MIP jobs never race on the shared basis.
+  /// One persistent MIP warm state (root basis). Serialized per key: the
+  /// entry mutex is held across the whole attack, so two identical MIP jobs
+  /// never race on the shared basis.
   struct MipBasisEntry {
     std::mutex mu;
     core::MipWarmState state;

@@ -185,5 +185,87 @@ TEST(Mip, OptimalityMatchesExhaustiveEnumeration) {
   }
 }
 
+TEST(Mip, DefaultOptionsAreBitwiseDeterministic) {
+  // Two runs of the warm-started DFS must agree on every count and every
+  // solution bit.
+  rng::Rng rng(61);
+  const std::size_t n = 14;
+  Model m;
+  LinExpr sum;
+  for (std::size_t j = 0; j < n; ++j) {
+    m.add_binary();
+    sum.push_back({j, rng.uniform(0.9, 1.1)});
+  }
+  m.add_constraint(sum, Sense::LessEqual, 6.3);
+  m.add_constraint(sum, Sense::GreaterEqual, 5.7);
+  LinExpr obj;
+  for (std::size_t j = 0; j < n; ++j) {
+    obj.push_back({j, std::round(rng.uniform(-4.0, 4.0))});
+  }
+  m.set_objective(obj);
+  const MipOptions o;
+  const MipResult a = solve_mip(m, o);
+  const MipResult b = solve_mip(m, o);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
+  EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
+  EXPECT_EQ(a.objective, b.objective);
+  if (a.has_solution()) {
+    ASSERT_EQ(a.x.size(), b.x.size());
+    for (std::size_t j = 0; j < a.x.size(); ++j) EXPECT_EQ(a.x[j], b.x[j]);
+  }
+}
+
+/// Minimum-support variant of the MIP attack's Eq. (14) band model: binary
+/// q, continuous rhat/that, one GE/LE noise-band pair per known record, and
+/// objective minimize sum(q) — the sparsest consistent query, which makes
+/// the search bound, not just find a feasible point. Feasible by
+/// construction (planted query).
+Model min_support_band_model(std::size_t d, std::size_t m, double sigma,
+                             rng::Rng& rng) {
+  const double rhat_true = 1.3, that_true = 0.7;
+  BitVec q = rng.binary_bernoulli(d, 0.3);
+  q[0] = 1;  // at least one keyword
+  std::vector<BitVec> records;
+  for (std::size_t i = 0; i < m; ++i) {
+    records.push_back(rng.binary_bernoulli(d, 0.4));
+  }
+  Model model;
+  const auto rhat = model.add_variable(1e-4, 1e4);
+  const auto that = model.add_variable(1e-6, 1e4);
+  std::vector<std::size_t> qv(d);
+  for (std::size_t k = 0; k < d; ++k) qv[k] = model.add_binary();
+  LinExpr support;
+  for (std::size_t k = 0; k < d; ++k) support.push_back({qv[k], 1.0});
+  model.add_constraint(support, Sense::GreaterEqual, 1.0);
+  model.set_objective(std::move(support));
+  for (std::size_t i = 0; i < m; ++i) {
+    double a = 0.0;
+    for (std::size_t k = 0; k < d; ++k) a += (records[i][k] & q[k]) ? 1.0 : 0.0;
+    const double noise = rng.uniform(-2.5 * sigma, 2.5 * sigma);
+    const double c = (a + that_true + noise) / rhat_true;
+    LinExpr e;
+    e.push_back({rhat, c});
+    e.push_back({that, -1.0});
+    for (std::size_t k = 0; k < d; ++k) {
+      if (records[i][k] != 0) e.push_back({qv[k], -1.0});
+    }
+    model.add_constraint(e, Sense::GreaterEqual, -3.0 * sigma);
+    model.add_constraint(std::move(e), Sense::LessEqual, 3.0 * sigma);
+  }
+  return model;
+}
+
+TEST(Mip, ProvesMinSupportBandModelOptimal) {
+  // d = 40 keywords, m = 60 records, sigma = 0.1: the default search proves
+  // the sparsest consistent query has 14 keywords.
+  rng::Rng rng(33 + 606);
+  const Model m = min_support_band_model(40, 60, 0.1, rng);
+  const MipResult r = solve_mip(m);
+  ASSERT_EQ(r.status, MipStatus::Optimal) << "nodes=" << r.nodes_explored;
+  EXPECT_NEAR(r.objective, 14.0, 1e-6);
+  EXPECT_LE(m.max_violation(r.x), 1e-6);
+}
+
 }  // namespace
 }  // namespace aspe::opt

@@ -317,6 +317,35 @@ TEST(MipFlipScorer, MatchesOracleWhenScoresAreConstant) {
   check_scorer_against_oracle(inst, 1.0, MipAttackOptions{}, 110);
 }
 
+TEST(MipAttack, BranchAndBoundWarmStateMatchesCold) {
+  // Branch and bound alone on an LP-root-sized instance (m <= 300), run with
+  // no warm state, with a fresh state (which the run exports into), and with
+  // that state attached again: all three must agree bit for bit.
+  const Scenario s = make_scenario(20, 20, 0.25, 0.5, 3, 29);
+  MipAttackOptions opt = fast_options();
+  opt.use_heuristic = false;
+  const auto run = [&](MipWarmState* warm) {
+    return run_mip_attack(s.view.known_pairs,
+                          s.view.observed.cipher_trapdoors[0], s.mu, s.sigma,
+                          opt, ExecContext{}, warm);
+  };
+  const MipAttackResult cold = run(nullptr);
+  MipWarmState state;
+  const MipAttackResult exported = run(&state);
+  const MipAttackResult attached = run(&state);
+  EXPECT_NE(state.model_digest, 0u);
+  EXPECT_GT(cold.telemetry.counter("mip.bnb.nodes"), 0.0);
+  for (const MipAttackResult* r : {&exported, &attached}) {
+    EXPECT_EQ(r->status, cold.status);
+    EXPECT_EQ(r->found, cold.found);
+    EXPECT_EQ(r->query, cold.query);
+    EXPECT_EQ(r->rhat, cold.rhat);
+    EXPECT_EQ(r->that, cold.that);
+    EXPECT_EQ(r->telemetry.counter("mip.bnb.nodes"),
+              cold.telemetry.counter("mip.bnb.nodes"));
+  }
+}
+
 TEST(MipAttack, Validation) {
   EXPECT_THROW(
       build_mip_attack_model({}, scheme::CipherPair{}, 1.0, 0.5,

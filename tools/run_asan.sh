@@ -49,13 +49,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "CoaSession|LepSession|IncrementalSvd|NmfResume|CorpusRefresh"
 
-# Sixth pre-pass over the MIP propagation stack: cut rows appended into a
-# live simplex (tableau introspection walks B^-1 row by row), node-path
-# linked lists rewound and replayed across subtree switches, and
-# strong-branching probes that snapshot/restore bases — the newest
-# pointer-heavy code (PR 8), surfaced in seconds.
+# Sixth pre-pass over branch and bound: node-path linked lists rewound and
+# replayed across subtree switches, and basis snapshots shared between
+# siblings and restored on backtrack — the solver's pointer-heavy code,
+# surfaced in seconds.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "MipPropagation|MipBudget|Mip\.|Presolve"
+  -R "MipBudget|Mip\.|Presolve"
 
 # Seventh pre-pass over the svc daemon: framed protocol decoding walks
 # attacker-controlled length prefixes, connection handlers hand shared_ptr
