@@ -6,7 +6,8 @@
 // Writes BENCH_io.json (gated by tools/check_bench.py against
 // bench/baselines/). Headlines: corpus_load_speedup_text_over_binary_n10k,
 // corpus_load_speedup_text_over_mmap_n10k (the PR's >=10x acceptance
-// number), mmap_speedup_at_least_10x, sharded_outputs_bit_identical.
+// number), mmap_speedup_at_least_10x, sharded_outputs_bit_identical, and
+// the absolute n=10k load seconds of each format behind those ratios.
 //
 // Usage: bench_io [--full] [--seed=S]
 #include <cstring>
@@ -266,6 +267,11 @@ int main(int argc, char** argv) {
       << ",\n";
   out << "  \"corpus_load_speedup_text_over_mmap_n10k\": " << speedup_mmap
       << ",\n";
+  // Absolute companions of the load ratios: a faster text parser lowers
+  // them without any binary or mmap load getting slower.
+  out << "  \"corpus_load_text_seconds_n10k\": " << text10k << ",\n";
+  out << "  \"corpus_load_binary_seconds_n10k\": " << bin10k << ",\n";
+  out << "  \"corpus_load_mmap_seconds_n10k\": " << mmap10k << ",\n";
   out << "  \"mmap_speedup_at_least_10x\": "
       << (speedup_mmap >= 10.0 ? "true" : "false") << ",\n";
   out << "  \"sharded_over_incore_wallclock_ratio_n1k\": " << ratio_n1k

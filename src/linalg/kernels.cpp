@@ -1,15 +1,17 @@
 #include "linalg/kernels.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
+#include <memory>
 
+#include "linalg/simd.hpp"
 #include "obs/obs.hpp"
 #include "par/parallel.hpp"
 
 namespace aspe::linalg {
 
 namespace {
+
+using namespace simd;
 
 // Products smaller than this many scalar multiply-adds are not worth the
 // pool dispatch; measured crossover is a few hundred thousand flops. The
@@ -45,40 +47,156 @@ void scale_output(double beta, MatrixView c) {
   }
 }
 
-/// Plain i-k-j product for small shapes: identical inner order to the
-/// historical Matrix::operator* (alpha = 1, Op::None) so small fixtures stay
-/// bit-for-bit. Assumes C was already scaled by beta.
-void gemm_naive(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
-                Op opb, MatrixView c) {
+// ---- Small-product kernels ------------------------------------------------
+//
+// Products below kParallelFlopThreshold, every gram and the Op::None gemv
+// run on the register tiles below. Tiling only changes how many output
+// entries are in flight at once; each entry keeps the arithmetic of the
+// plain loops it replaced (tests/test_kernels_oracle.cpp keeps those loops
+// as oracles): one product, then one add, per inner index, in ascending
+// order from the same starting value, with the same zero skip. They are
+// written with the two-lane D2 arithmetic of linalg/simd.hpp, compiled for
+// baseline x86-64 and never cloned, so their results are bit-identical to
+// the plain loops.
+
+/// Dot tile edge: kDotTile rows of op(A) against kDotTile rows of op(B).
+constexpr std::size_t kDotTile = 4;
+
+/// s[r][c] = sum_p a[r][p * sa] * b[c][p] for a 4 x 4 tile of dot products,
+/// each entry one chain from 0.0 in ascending p. Rows of op(B) are
+/// contiguous; rows of op(A) are contiguous when sa == 1 and strided by sa
+/// otherwise. Column pairs of the tile share one SSE2 register: two p steps
+/// of four B rows are transposed in registers into {b0, b1} / {b2, b3}
+/// pairs, so the 16 chains run as 8 vector chains.
+void dot_tile(std::size_t k, const double* const* a, std::size_t sa,
+              const double* const* b, double s[kDotTile][kDotTile]) {
+  D2 acc[kDotTile][2] = {};
+  std::size_t p = 0;
+  for (; p + 2 <= k; p += 2) {
+    const D2 b0 = d2_load(b[0] + p);
+    const D2 b1 = d2_load(b[1] + p);
+    const D2 b2 = d2_load(b[2] + p);
+    const D2 b3 = d2_load(b[3] + p);
+    const D2 b01p = d2_lo(b0, b1), b01q = d2_hi(b0, b1);
+    const D2 b23p = d2_lo(b2, b3), b23q = d2_hi(b2, b3);
+    for (std::size_t r = 0; r < kDotTile; ++r) {
+      const D2 ar = sa == 1 ? d2_load(a[r] + p)
+                            : D2{a[r][p * sa], a[r][(p + 1) * sa]};
+      const D2 ap = d2_lo(ar, ar), aq = d2_hi(ar, ar);
+      acc[r][0] = acc[r][0] + ap * b01p + aq * b01q;
+      acc[r][1] = acc[r][1] + ap * b23p + aq * b23q;
+    }
+  }
+  if (p < k) {
+    const D2 b01{b[0][p], b[1][p]};
+    const D2 b23{b[2][p], b[3][p]};
+    for (std::size_t r = 0; r < kDotTile; ++r) {
+      const double av = a[r][p * sa];
+      const D2 ap{av, av};
+      acc[r][0] = acc[r][0] + ap * b01;
+      acc[r][1] = acc[r][1] + ap * b23;
+    }
+  }
+  for (std::size_t r = 0; r < kDotTile; ++r) {
+    d2_store(s[r], acc[r][0]);
+    d2_store(s[r] + 2, acc[r][1]);
+  }
+}
+
+/// Row pointers of a tile starting at row i0 with `live` valid rows. Rows
+/// past the edge repeat the last valid one, so dot_tile always runs a full
+/// tile; their results are never written.
+void tile_rows(const double* base, std::size_t stride, std::size_t i0,
+               std::size_t live, const double* rows[kDotTile]) {
+  for (std::size_t r = 0; r < kDotTile; ++r) {
+    rows[r] = base + (i0 + std::min(r, live - 1)) * stride;
+  }
+}
+
+/// C += alpha * op(A) B^T on dot tiles: entry (i, j) is the chain
+/// s = sum_p op(A)(i, p) * B(j, p), then c(i, j) += alpha * s.
+void gemm_small_dots(double alpha, ConstMatrixView a, Op opa,
+                     ConstMatrixView b, MatrixView c) {
   const std::size_t m = c.rows();
   const std::size_t n = c.cols();
   const std::size_t k = op_cols(a, opa);
-  if (opb == Op::None) {
-    for (std::size_t i = 0; i < m; ++i) {
-      double* ci = c.row_ptr(i);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double av = alpha * op_at(a, opa, i, p);
-        if (av == 0.0) continue;
-        const double* bp = b.row_ptr(p);
-        for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+  // Row i of op(A) starts at a.row_ptr(i) with unit step, or (transposed)
+  // at column i of A with a row_stride step.
+  const bool a_rows = opa == Op::None;
+  const std::size_t a_step = a_rows ? a.row_stride() : 1;
+  const std::size_t sa = a_rows ? 1 : a.row_stride();
+  double s[kDotTile][kDotTile] = {};
+  for (std::size_t i0 = 0; i0 < m; i0 += kDotTile) {
+    const std::size_t mr = std::min(kDotTile, m - i0);
+    const double* arows[kDotTile] = {};
+    tile_rows(a.data(), a_step, i0, mr, arows);
+    for (std::size_t j0 = 0; j0 < n; j0 += kDotTile) {
+      const std::size_t nr = std::min(kDotTile, n - j0);
+      const double* brows[kDotTile] = {};
+      tile_rows(b.data(), b.row_stride(), j0, nr, brows);
+      dot_tile(k, arows, sa, brows, s);
+      for (std::size_t r = 0; r < mr; ++r) {
+        double* ci = c.row_ptr(i0 + r) + j0;
+        for (std::size_t q = 0; q < nr; ++q) ci[q] += alpha * s[r][q];
       }
     }
-    return;
   }
-  // op(B) = B^T: rows of op(B) are columns of B, so the j loop runs over
-  // contiguous rows of B and each (i, j) entry is a dot product.
+}
+
+/// Columns of C held in registers by the row kernel.
+constexpr std::size_t kRowTile = 16;
+/// Inner indices gathered per pass of the row kernel.
+constexpr std::size_t kRowChunk = 128;
+
+/// C += alpha * op(A) B, one row of C at a time: entry (i, j) receives
+/// c(i, j) += av * B(p, j) with av = alpha * op(A)(i, p), for every p in
+/// ascending order except where av == 0. The nonzero (av, B row p) pairs of
+/// a row are gathered first, so the skip costs no branch in the tile loop;
+/// each kRowTile-column stretch of the row then stays in registers while
+/// the pairs stream past.
+void gemm_small_rows(double alpha, ConstMatrixView a, Op opa,
+                     ConstMatrixView b, MatrixView c) {
+  const std::size_t m = c.rows();
+  const std::size_t n = c.cols();
+  const std::size_t k = op_cols(a, opa);
+  const bool a_rows = opa == Op::None;
+  const std::size_t a_step = a_rows ? a.row_stride() : 1;
+  const std::size_t sa = a_rows ? 1 : a.row_stride();
+  double av[kRowChunk] = {};
+  const double* brow[kRowChunk] = {};
   for (std::size_t i = 0; i < m; ++i) {
+    const double* ai = a.data() + i * a_step;
     double* ci = c.row_ptr(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* bj = b.row_ptr(j);
-      double s = 0.0;
-      if (opa == Op::None) {
-        const double* ai = a.row_ptr(i);
-        for (std::size_t p = 0; p < k; ++p) s += ai[p] * bj[p];
-      } else {
-        for (std::size_t p = 0; p < k; ++p) s += a(p, i) * bj[p];
+    for (std::size_t p0 = 0; p0 < k; p0 += kRowChunk) {
+      const std::size_t p1 = std::min(k, p0 + kRowChunk);
+      std::size_t count = 0;
+      for (std::size_t p = p0; p < p1; ++p) {
+        const double v = alpha * ai[p * sa];
+        av[count] = v;
+        brow[count] = b.row_ptr(p);
+        count += v != 0.0 ? 1 : 0;
       }
-      ci[j] += alpha * s;
+      std::size_t j0 = 0;
+      for (; j0 + kRowTile <= n; j0 += kRowTile) {
+        D2 acc[kRowTile / 2] = {};
+        for (std::size_t u = 0; u < kRowTile / 2; ++u) {
+          acc[u] = d2_load(ci + j0 + 2 * u);
+        }
+        for (std::size_t t = 0; t < count; ++t) {
+          const double* bp = brow[t] + j0;
+          const D2 v{av[t], av[t]};
+          for (std::size_t u = 0; u < kRowTile / 2; ++u) {
+            acc[u] = acc[u] + v * d2_load(bp + 2 * u);
+          }
+        }
+        for (std::size_t u = 0; u < kRowTile / 2; ++u) {
+          d2_store(ci + j0 + 2 * u, acc[u]);
+        }
+      }
+      for (std::size_t t = 0; t < count; ++t) {
+        const double* bp = brow[t];
+        for (std::size_t j = j0; j < n; ++j) ci[j] += av[t] * bp[j];
+      }
     }
   }
 }
@@ -169,16 +287,24 @@ void gemm_blocked(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
   const std::size_t kdim = op_cols(a, opa);
   // pack_b zero-pads the right edge to a whole NR panel, so the buffer must
   // round the column block up to a kNr multiple (nb = 300, kNr = 8 would
-  // otherwise overrun by (304 - 300) * kb doubles).
+  // otherwise overrun by (304 - 300) * kb doubles). Both buffers are sized
+  // from the deepest k panel this call packs and allocated once, without
+  // value-initialisation: the packers write every element they read. Each
+  // row block owns one A slab, so the parallel tasks never share one.
   const std::size_t nc = std::min(n, kNc);
-  std::vector<double> bpack(kKc * ((nc + kNr - 1) / kNr) * kNr);
+  const std::size_t kb_max = std::min(kKc, kdim);
   const std::size_t ic_blocks = (m + kMc - 1) / kMc;
+  const std::size_t a_slab = kMc * kb_max;
+  const auto bpack = std::make_unique_for_overwrite<double[]>(
+      kb_max * ((nc + kNr - 1) / kNr) * kNr);
+  const auto apack =
+      std::make_unique_for_overwrite<double[]>(ic_blocks * a_slab);
 
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nb = std::min(kNc, n - jc);
     for (std::size_t kc = 0; kc < kdim; kc += kKc) {
       const std::size_t kb = std::min(kKc, kdim - kc);
-      pack_b(b, opb, kc, kb, jc, nb, bpack.data());
+      pack_b(b, opb, kc, kb, jc, nb, bpack.get());
       const std::size_t b_panels = (nb + kNr - 1) / kNr;
 
       par::parallel_for(
@@ -186,17 +312,17 @@ void gemm_blocked(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
           [&](std::size_t blk) {
             const std::size_t i0 = blk * kMc;
             const std::size_t mb = std::min(kMc, m - i0);
-            std::vector<double> apack(((mb + kMr - 1) / kMr) * kMr * kb);
-            pack_a(a, opa, i0, mb, kc, kb, apack.data());
+            double* ap = apack.get() + blk * a_slab;
+            pack_a(a, opa, i0, mb, kc, kb, ap);
             for (std::size_t q = 0; q < b_panels; ++q) {
               const std::size_t j0 = jc + q * kNr;
               const std::size_t nr = std::min(kNr, jc + nb - j0);
-              const double* bq = bpack.data() + q * kNr * kb;
+              const double* bq = bpack.get() + q * kNr * kb;
               const std::size_t a_panels = (mb + kMr - 1) / kMr;
               for (std::size_t p = 0; p < a_panels; ++p) {
                 const std::size_t r0 = i0 + p * kMr;
                 const std::size_t mr = std::min(kMr, i0 + mb - r0);
-                micro_kernel(kb, apack.data() + p * kMr * kb, bq, alpha,
+                micro_kernel(kb, ap + p * kMr * kb, bq, alpha,
                              c.row_ptr(r0) + j0, c.row_stride(), mr, nr);
               }
             }
@@ -247,14 +373,29 @@ void gemv(double alpha, ConstMatrixView a, Op opa, ConstVecView x, double beta,
   const std::size_t cols = a.cols();
 
   if (opa == Op::None) {
-    const auto compute_row = [&](std::size_t r) {
-      const double s = dot(a.row(r), x);
-      y[r] = beta == 0.0 ? alpha * s : beta * y[r] + alpha * s;
+    // Four rows per tile share each x[p]; every row is its own dot chain
+    // sum_p a(r, p) * x[p] from 0.0 in ascending p, as in dot().
+    const std::size_t tiles = (rows + kDotTile - 1) / kDotTile;
+    const auto compute_tile = [&](std::size_t t) {
+      const std::size_t r0 = t * kDotTile;
+      const std::size_t live = std::min(kDotTile, rows - r0);
+      const double* ar[kDotTile] = {};
+      tile_rows(a.data(), a.row_stride(), r0, live, ar);
+      double s[kDotTile] = {};
+      for (std::size_t p = 0; p < cols; ++p) {
+        const double xp = x[p];
+        for (std::size_t r = 0; r < kDotTile; ++r) s[r] += ar[r][p] * xp;
+      }
+      for (std::size_t r = 0; r < live; ++r) {
+        double& yr = y[r0 + r];
+        yr = beta == 0.0 ? alpha * s[r] : beta * yr + alpha * s[r];
+      }
     };
-    if (rows * cols >= kParallelFlopThreshold && rows > 1) {
-      par::parallel_for(0, rows, row_grain(rows, cols), compute_row, threads);
+    if (rows * cols >= kParallelFlopThreshold && tiles > 1) {
+      par::parallel_for(0, tiles, row_grain(tiles, kDotTile * cols),
+                        compute_tile, threads);
     } else {
-      for (std::size_t r = 0; r < rows; ++r) compute_row(r);
+      for (std::size_t t = 0; t < tiles; ++t) compute_tile(t);
     }
     return;
   }
@@ -330,28 +471,51 @@ void gemm(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b, Op opb,
     obs::gauge_set("linalg.gemm.arch_level",
                    static_cast<double>(gemm_dispatch_arch_level()));
   }
-  if (flops < kParallelFlopThreshold) {
-    gemm_naive(alpha, a, opa, b, opb, c);
-  } else {
+  if (flops >= kParallelFlopThreshold) {
     gemm_blocked(alpha, a, opa, b, opb, c, threads);
+  } else if (opb == Op::None) {
+    gemm_small_rows(alpha, a, opa, b, c);
+  } else {
+    gemm_small_dots(alpha, a, opa, b, c);
   }
 }
 
 void gram(ConstMatrixView a, MatrixView g, std::size_t threads) {
   const std::size_t d = a.rows();
   require(g.rows() == d && g.cols() == d, "gram: output shape mismatch");
-  const auto compute_row = [&](std::size_t i) {
-    for (std::size_t j = i; j < d; ++j) {
-      const double s = dot(a.row(i), a.row(j));
-      g(i, j) = s;
-      g(j, i) = s;
+  if (d == 0) return;
+  // Upper-triangle dot tiles, mirrored. Entry (i, j) is the chain
+  // sum_p a(i, p) * a(j, p); a diagonal tile also computes a few entries
+  // below the diagonal, which are the same products and are not written.
+  const std::size_t k = a.cols();
+  const std::size_t tiles = (d + kDotTile - 1) / kDotTile;
+  const auto compute_tile_row = [&](std::size_t ti) {
+    const std::size_t i0 = ti * kDotTile;
+    const std::size_t mr = std::min(kDotTile, d - i0);
+    const double* arows[kDotTile] = {};
+    tile_rows(a.data(), a.row_stride(), i0, mr, arows);
+    double s[kDotTile][kDotTile] = {};
+    for (std::size_t j0 = i0; j0 < d; j0 += kDotTile) {
+      const std::size_t nr = std::min(kDotTile, d - j0);
+      const double* brows[kDotTile] = {};
+      tile_rows(a.data(), a.row_stride(), j0, nr, brows);
+      dot_tile(k, arows, 1, brows, s);
+      for (std::size_t r = 0; r < mr; ++r) {
+        for (std::size_t q = 0; q < nr; ++q) {
+          const std::size_t i = i0 + r, j = j0 + q;
+          if (j < i) continue;
+          g(i, j) = s[r][q];
+          g(j, i) = s[r][q];
+        }
+      }
     }
   };
-  const std::size_t flops_per_row = d * a.cols() / 2 + 1;
-  if (d > 1 && d * flops_per_row >= kParallelFlopThreshold) {
-    par::parallel_for(0, d, row_grain(d, flops_per_row), compute_row, threads);
+  const std::size_t flops_per_tile_row = kDotTile * (d * k / 2 + 1);
+  if (tiles > 1 && tiles * flops_per_tile_row >= kParallelFlopThreshold) {
+    par::parallel_for(0, tiles, row_grain(tiles, flops_per_tile_row),
+                      compute_tile_row, threads);
   } else {
-    for (std::size_t i = 0; i < d; ++i) compute_row(i);
+    for (std::size_t ti = 0; ti < tiles; ++ti) compute_tile_row(ti);
   }
 }
 

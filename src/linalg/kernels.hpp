@@ -46,7 +46,8 @@ void scal(double alpha, VecView x);
 void rot(VecView x, VecView y, double c, double s);
 
 /// y = alpha * op(a) x + beta * y. Deterministic at any thread count
-/// (`threads` caps the fan-out; 0 = process default).
+/// (`threads` caps the fan-out; 0 = process default). For Op::None each
+/// y[r] is the ascending dot of row r with x, four rows per tile.
 void gemv(double alpha, ConstMatrixView a, Op opa, ConstVecView x, double beta,
           VecView y, std::size_t threads = 0);
 
@@ -54,15 +55,18 @@ void gemv(double alpha, ConstMatrixView a, Op opa, ConstVecView x, double beta,
 ///
 /// Large products run a cache-blocked packed kernel: A and B panels are
 /// packed into contiguous tiles and multiplied by an MR x NR register
-/// micro-kernel, parallel over row blocks of C. Small products use the
-/// plain i-k-j loop (identical to the pre-view implementation, so small
-/// fixtures keep bit-identical results).
+/// micro-kernel, parallel over row blocks of C. Small products (< 2^18
+/// multiply-adds) run serial register tiles that keep each entry's plain
+/// loop arithmetic: for op(B) = B, c(i, j) += (alpha op(A)(i, p)) B(p, j)
+/// in ascending p, skipping zero coefficients; for op(B) = B^T, one
+/// ascending dot per entry, then c(i, j) += alpha * dot (docs/linalg.md).
 void gemm(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b, Op opb,
           double beta, MatrixView c, std::size_t threads = 0);
 
 /// g = a a^T (row Gram matrix, g must be a.rows() x a.rows()). Computes the
-/// upper triangle by contiguous row dots and mirrors it — the symmetric
-/// half-cost path the NMF updates rely on.
+/// upper triangle on 4 x 4 tiles of contiguous row dots, each entry one
+/// ascending dot as in dot(), and mirrors it — the symmetric half-cost path
+/// the NMF updates rely on.
 void gram(ConstMatrixView a, MatrixView g, std::size_t threads = 0);
 
 /// out = op(a) elementwise (cache-blocked copy; out must not alias a).

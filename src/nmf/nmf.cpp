@@ -97,6 +97,7 @@ struct NnlsBatchStats {
   double warm_starts = 0.0;
   double warm_hits = 0.0;
   double factor_rows = 0.0;
+  double outer_iterations = 0.0;
 
   void absorb(const std::vector<NnlsWorkspace>& ws) {
     solves += static_cast<double>(ws.size());
@@ -104,6 +105,7 @@ struct NnlsBatchStats {
       warm_starts += w.warm_started() ? 1.0 : 0.0;
       warm_hits += w.passive_set_reused() ? 1.0 : 0.0;
       factor_rows += static_cast<double>(w.factor_rows_computed());
+      outer_iterations += static_cast<double>(w.outer_iterations());
     }
   }
 };
@@ -129,10 +131,13 @@ void update_h_anls(const Matrix& r, const Matrix& w, const Matrix& gw,
   // Vec copies in the loop. Each column owns its workspace, so the warm
   // state threads through the parallel loop without sharing.
   obs::counter_add("nmf.nnls_solves", static_cast<double>(n));
-  for_each_index(n, d * d * d + d * d, threads, [&](std::size_t j) {
-    if (!warm) ws[j].clear();
-    nnls_gram(g, f.col_view(j), h.col_view(j), ws[j]);
-  });
+  {
+    obs::Span span("nmf/nnls");
+    for_each_index(n, d * d * d + d * d, threads, [&](std::size_t j) {
+      if (!warm) ws[j].clear();
+      nnls_gram(g, f.col_view(j), h.col_view(j), ws[j]);
+    });
+  }
   stats.absorb(ws);
 }
 
@@ -154,10 +159,13 @@ void update_w_anls(const Matrix& r, Matrix& w, const Matrix& h, double eta,
   linalg::gemm(1.0, h.cview(), Op::None, r.cview(), Op::Transpose, 0.0,
                f_w.view(), threads);
   obs::counter_add("nmf.nnls_solves", static_cast<double>(m));
-  for_each_index(m, d * d * d + d * d, threads, [&](std::size_t i) {
-    if (!warm) ws[i].clear();
-    nnls_gram(g, f_w.col_view(i), w.col_view(i), ws[i]);
-  });
+  {
+    obs::Span span("nmf/nnls");
+    for_each_index(m, d * d * d + d * d, threads, [&](std::size_t i) {
+      if (!warm) ws[i].clear();
+      nnls_gram(g, f_w.col_view(i), w.col_view(i), ws[i]);
+    });
+  }
   stats.absorb(ws);
 }
 
@@ -417,6 +425,7 @@ NmfResult sparse_nmf_from_init(const Matrix& r, std::size_t rank,
     obs::counter_add("nnls.warm_starts", stats.warm_starts);
     obs::counter_add("nnls.warm_hits", stats.warm_hits);
     obs::counter_add("nnls.factor_rows", stats.factor_rows);
+    obs::counter_add("nnls.outer_iterations", stats.outer_iterations);
     // Fraction of solves that finished on the inherited passive set — the
     // quantity that predicts the warm-start payoff for this input.
     obs::gauge_set("nmf.passive_reuse_rate", stats.warm_hits / stats.solves);

@@ -32,7 +32,10 @@ struct NnlsOptions {
 /// factor — and therefore the returned x — a pure function of (G, f, final
 /// set), independent of the order in which variables entered: a warm solve
 /// and a cold solve that terminate on the same support return bit-identical
-/// solutions.
+/// solutions. Because the factor is rebuilt on every call, it and the other
+/// buffers a call works in live in per-thread scratch shared by every
+/// workspace on that thread: a batch of column solves keeps one factor
+/// buffer hot, and a workspace holds only its passive set.
 class NnlsWorkspace {
  public:
   NnlsWorkspace() = default;
@@ -75,28 +78,8 @@ class NnlsWorkspace {
                         linalg::VecView x, NnlsWorkspace& workspace,
                         const NnlsOptions& options);
 
-  void ensure_capacity(std::size_t k, std::size_t n);
-  /// Recompute factor rows [from, passive_.size()) against g. Rows < from
-  /// stay valid: Cholesky row i depends only on rows < i, so inserting or
-  /// removing the variable at sorted position p invalidates rows >= p and
-  /// nothing else. Throws NumericalError when a pivot is not positive.
-  void refactor_from(const linalg::Matrix& g, std::size_t from);
-  /// z_ <- G_PP^{-1} f_P via the current factor (forward + back subst).
-  void solve_passive(linalg::ConstVecView f);
-
-  /// Size every scratch buffer for a dimension-n problem. A no-op once the
-  /// workspace has solved at this size: a warm solve then allocates only
-  /// when its support outgrows the factor buffer.
-  void reserve(std::size_t n);
-
-  std::vector<std::size_t> passive_;    // ascending
-  std::vector<std::size_t> inherited_;  // passive_ on entry to the call
-  std::vector<std::size_t> next_;       // inner-loop survivors scratch
-  std::vector<bool> in_passive_;
-  linalg::Matrix l_;  // factor buffer; leading k x k lower triangle in use
-  Vec z_;             // passive-block solution, aligned with passive_
-  Vec w_;             // dual scratch
-  Vec step_;          // inner-loop step scratch
+  std::vector<std::size_t> passive_;  // ascending
+  std::size_t dim_ = 0;  // problem size the carried passive set belongs to
   bool warm_started_ = false;
   bool set_reused_ = false;
   std::size_t outer_iterations_ = 0;
@@ -109,9 +92,10 @@ class NnlsWorkspace {
 /// was added).
 ///
 /// View form: f and x may be strided matrix columns; the solution is written
-/// into x in place (x is zeroed first, so it needs no initialization). f and
-/// x must not alias. This is the batch entry point the ANLS solver uses —
-/// one Gram matrix, one NNLS call per column, zero per-column copies.
+/// into every entry of x once, at the end (a cold solve never reads x, so it
+/// needs no initialization). f and x must not alias. This is the batch entry
+/// point the ANLS solver uses — one Gram matrix, one NNLS call per column,
+/// no per-column allocation.
 void nnls_gram(const linalg::Matrix& g, linalg::ConstVecView f,
                linalg::VecView x, const NnlsOptions& options = {});
 

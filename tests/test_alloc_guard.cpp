@@ -82,6 +82,29 @@ TEST(AllocGuard, CheckedViewsAndDotDoNotAllocate) {
   EXPECT_EQ(count, 0u);
 }
 
+TEST(AllocGuard, SmallGemmGramAndGemvDoNotAllocate) {
+  // The register-tiled small kernels keep their tiles and gathered rows on
+  // the stack: the SNMF-shaped products (below the packed-GEMM gate), a
+  // Gram matrix and a row gemv allocate nothing.
+  rng::Rng rng(44);
+  Matrix w(40, 80), r(80, 80), f(40, 80), g(40, 40), big(400, 400);
+  for (auto* m : {&w, &r, &big}) {
+    for (auto& v : m->data()) v = rng.uniform(-1.0, 1.0) > 0.0 ? 0.5 : 0.0;
+  }
+  Vec x(400, 0.25), y(400, 0.0);
+  std::size_t count = allocations_during([&] {
+    linalg::gemm(1.0, w.cview(), linalg::Op::None, r.cview(),
+                 linalg::Op::None, 0.0, f.view(), 1);
+    linalg::gemm(0.75, w.cview(), linalg::Op::None, r.cview(),
+                 linalg::Op::Transpose, 0.25, f.view(), 1);
+    linalg::gram(w.cview(), g.view(), 1);
+    linalg::gemv(1.0, big.cview(), linalg::Op::None, x, 0.0,
+                 linalg::VecView(y), 1);
+    g_sink = f(3, 7) + g(5, 9) + y[11];
+  });
+  EXPECT_EQ(count, 0u);
+}
+
 TEST(AllocGuard, WarmNnlsSolveDoesNotAllocate) {
   // An 8-variable problem: the first non-empty factorization already sizes
   // the factor buffer for every possible support, so each later warm solve

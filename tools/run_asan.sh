@@ -29,11 +29,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -R "Obs\."
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "WarmStart|SimplexStress|Simplex\.|Mip"
 
-# Third pre-pass over the truncated-SVD / warm-NNLS path: blocked QR panels,
-# workspace Cholesky up/downdates and per-column factor buffers are the
-# newest raw-pointer code (PR 5), and the suites run in well under a second.
+# Third pre-pass over the truncated-SVD / warm-NNLS path and the small
+# kernels: blocked QR panels, workspace Cholesky up/downdates, per-column
+# factor buffers and the register tiles (which read a few entries past the
+# last live factor row into reserved slack) are the raw-pointer code most
+# likely to overrun, and the suites run in well under a second.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R "Svd\.|Nnls\.|Qr\."
+  -R "Svd\.|Nnls\.|Qr\.|Gemm\.|Gram\.|Gemv"
 
 # Fourth pre-pass over the io::v2 / mmap layer: envelope decoding walks
 # attacker-controlled offsets, the mutation tests feed deliberately
