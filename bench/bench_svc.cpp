@@ -5,16 +5,14 @@
 // corpus and rank caches, so the same attack against the same files answers
 // faster — and bit-identically, which the bench verifies per run.
 //
-// Two batched-scheduling series ride along (PR 10): an 8-job SNMF batch
-// sharing one corpus coalesced into a single fused restart sweep (one
-// corpus parse, one score-matrix build, one rank estimate), and repeated
-// identical MIP jobs warm-starting the root LP from the daemon's persistent
-// basis cache.
+// A batched-scheduling series rides along: an 8-job SNMF batch sharing one
+// corpus coalesced into a single fused restart sweep (one corpus parse, one
+// score-matrix build, one rank estimate).
 //
 // Writes BENCH_svc.json (gated by tools/check_bench.py against
 // bench/baselines/). Headlines: svc_daemon_speedup_over_oneshot_c{1,8,64},
-// svc_batched_snmf_speedup_over_solo_8job, svc_mip_basis_cache_speedup,
-// daemon_outputs_bit_identical, batched_outputs_bit_identical.
+// svc_batched_snmf_speedup_over_solo_8job, daemon_outputs_bit_identical,
+// batched_outputs_bit_identical.
 //
 // Usage: bench_svc [--full] [--seed=S]
 #include <algorithm>
@@ -293,78 +291,6 @@ int main(int argc, char** argv) {
               "bit-identical: %s)\n",
               batched_jps, batched_speedup, batched_identical ? "yes" : "NO");
 
-  // ---- persistent MIP basis cache: repeated identical MIP jobs ----------
-  // Enough known-plain rows that the root LP dominates the solve; the warm
-  // repeats restore the cached root basis + cut pool instead of re-running
-  // the full root relaxation.
-  const std::size_t mip_rows = full ? 300 : 160;
-  const std::string mrecords = (dir / "mrecords.txt").string();
-  const std::string mquery = (dir / "mquery.txt").string();
-  const std::string mindexes = (dir / "mindexes.txt").string();
-  const std::string mtd_plain = (dir / "mtd_plain.txt").string();
-  const std::string mkey = (dir / "mkey.txt").string();
-  const std::string mdb = (dir / "mdb.txt").string();
-  const std::string mtd = (dir / "mtd.txt").string();
-  run_cli({"gen-data", "--d=24", "--rho=0.25",
-           "--count=" + std::to_string(mip_rows), "--out=" + mrecords,
-           "--seed=" + std::to_string(seed + 3)});
-  run_cli({"gen-data", "--d=24", "--rho=0.2", "--count=1",
-           "--out=" + mquery, "--seed=" + std::to_string(seed + 4)});
-  run_cli({"mrse-index", "--plain=" + mrecords, "--out=" + mindexes,
-           "--seed=" + std::to_string(seed + 5)});
-  run_cli({"mrse-trapdoor", "--plain=" + mquery, "--out=" + mtd_plain,
-           "--seed=" + std::to_string(seed + 6)});
-  run_cli({"keygen", "--dim=33", "--key=" + mkey,
-           "--seed=" + std::to_string(seed + 7)});
-  run_cli({"encrypt", "--key=" + mkey, "--plain=" + mindexes,
-           "--out=" + mdb, "--seed=" + std::to_string(seed + 8)});
-  run_cli({"trapdoor", "--key=" + mkey, "--plain=" + mtd_plain,
-           "--out=" + mtd, "--seed=" + std::to_string(seed + 9)});
-  const auto mip_request = [&] {
-    core::AttackRequest req;
-    core::MipRequest mip;
-    mip.known_plain = core::CorpusRef::from_path(mrecords);
-    mip.db = core::CorpusRef::from_path(mdb);
-    mip.trapdoors = core::CorpusRef::from_path(mtd);
-    mip.mu = 1.0;
-    mip.sigma = 0.5;
-    req.request = mip;
-    return req;
-  };
-  double mip_cold_s = 1e300, mip_warm_s = 1e300;
-  bool mip_identical = true;
-  for (int rep = 0; rep < 2; ++rep) {
-    svc::Daemon mdaemon{svc::DaemonOptions{}};
-    Stopwatch cold_watch;
-    const core::AttackResponse cold = mdaemon.execute(mip_request(), jopts);
-    mip_cold_s = std::min(mip_cold_s, cold_watch.seconds());
-    if (!cold.ok()) {
-      std::fprintf(stderr, "bench_svc: MIP job failed: %s\n",
-                   cold.message.c_str());
-      return 1;
-    }
-    for (int k = 0; k < 3; ++k) {
-      Stopwatch warm_watch;
-      const core::AttackResponse warm = mdaemon.execute(mip_request(), jopts);
-      mip_warm_s = std::min(mip_warm_s, warm_watch.seconds());
-      mip_identical = mip_identical && warm.ok() &&
-                      warm.mip().query == cold.mip().query &&
-                      warm.mip().rhat == cold.mip().rhat &&
-                      warm.mip().that == cold.mip().that;
-    }
-    if (mdaemon.stats().basis_cache_hits == 0) {
-      std::fprintf(stderr, "bench_svc: MIP repeats never hit the basis cache\n");
-      return 1;
-    }
-  }
-  const double mip_speedup = mip_warm_s > 0.0 ? mip_cold_s / mip_warm_s : 0.0;
-  records.push_back({"mip_cold", 0, 1, mip_cold_s, 1.0 / mip_cold_s});
-  records.push_back({"mip_warm", 0, 1, mip_warm_s, 1.0 / mip_warm_s});
-  std::printf("MIP basis cache: cold %.3fs, warm %.3fs (%.1fx, "
-              "bit-identical: %s)\n",
-              mip_cold_s, mip_warm_s, mip_speedup,
-              mip_identical ? "yes" : "NO");
-
   fs::remove_all(dir);
 
   std::ofstream out("BENCH_svc.json");
@@ -383,12 +309,11 @@ int main(int argc, char** argv) {
       << ",\n";
   out << "  \"svc_batched_snmf_speedup_over_solo_8job\": " << batched_speedup
       << ",\n";
-  out << "  \"svc_mip_basis_cache_speedup\": " << mip_speedup << ",\n";
   out << "  \"daemon_outputs_bit_identical\": "
       << (bit_identical ? "true" : "false") << ",\n";
   out << "  \"batched_outputs_bit_identical\": "
-      << (batched_identical && mip_identical ? "true" : "false") << "\n";
+      << (batched_identical ? "true" : "false") << "\n";
   out << "}\n";
   std::printf("\nwrote BENCH_svc.json\n");
-  return bit_identical && batched_identical && mip_identical ? 0 : 1;
+  return bit_identical && batched_identical ? 0 : 1;
 }

@@ -713,8 +713,7 @@ int cmd_serve(const CliFlags& flags, std::ostream& out) {
       << st.corpus_cache_hits << " corpus / " << st.rank_cache_hits
       << " rank / " << st.lep_session_hits << " session cache hits; "
       << st.batched_jobs << " jobs fused into " << st.batches_formed
-      << " sweeps, " << st.score_cache_hits << " score / "
-      << st.basis_cache_hits << " basis cache hits)\n";
+      << " sweeps, " << st.score_cache_hits << " score cache hits)\n";
   cobs.finish(core::AttackTelemetry{}, out);
   return 0;
 }
@@ -783,8 +782,8 @@ void print_daemon_stats(const svc::DaemonStats& st, std::ostream& out) {
       << st.batches_formed << " sweeps, " << st.affinity_hits
       << " affinity hits; cache hits: " << st.corpus_cache_hits
       << " corpus, " << st.rank_cache_hits << " rank, "
-      << st.lep_session_hits << " session, " << st.basis_cache_hits
-      << " basis, " << st.score_cache_hits << " score ("
+      << st.lep_session_hits << " session, " << st.score_cache_hits
+      << " score ("
       << st.score_cache_misses << " misses, " << st.score_cache_evictions
       << " evicted, " << st.score_cache_bytes << " bytes resident)\n";
 }

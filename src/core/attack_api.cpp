@@ -127,8 +127,7 @@ AttackResponse dispatch_lep(const LepRequest& req, const ExecContext& ctx) {
   return resp;
 }
 
-AttackResponse dispatch_mip(const MipRequest& req, const ExecContext& ctx,
-                            const DispatchHooks& hooks) {
+AttackResponse dispatch_mip(const MipRequest& req, const ExecContext& ctx) {
   const auto known = req.known_plain.load_vecs("mip known-plain");
   const auto db = req.db.load_ciphers("mip db");
   const auto trapdoors = req.trapdoors.load_ciphers("mip trapdoors");
@@ -156,7 +155,7 @@ AttackResponse dispatch_mip(const MipRequest& req, const ExecContext& ctx,
 
   AttackResponse resp;
   auto res = run_mip_attack(pairs, (*trapdoors)[req.trapdoor_id], req.mu,
-                            req.sigma, req.options, ctx, hooks.mip_warm);
+                            req.sigma, req.options, ctx);
   resp.status = res.found ? AttackStatus::Ok : AttackStatus::NoSolution;
   resp.error = ErrorCode::Ok;
   resp.telemetry = res.telemetry;
@@ -229,7 +228,7 @@ AttackResponse dispatch_attack(const AttackRequest& request,
           if constexpr (std::is_same_v<T, LepRequest>) {
             return dispatch_lep(req, ctx);
           } else if constexpr (std::is_same_v<T, MipRequest>) {
-            return dispatch_mip(req, ctx, hooks);
+            return dispatch_mip(req, ctx);
           } else {
             return dispatch_snmf(req, ctx, hooks);
           }

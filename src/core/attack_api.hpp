@@ -219,9 +219,7 @@ struct AttackResponse {
 
 /// Optional warm state a long-lived host (the svc daemon) threads through
 /// dispatch. Everything here is an accelerator, never an input: a dispatch
-/// with hooks returns bit-identical results to one without (the MIP warm
-/// state differs only in skipped simplex pivots, which canonicalization
-/// makes invisible — see core::MipWarmState).
+/// with hooks returns bit-identical results to one without.
 struct DispatchHooks {
   /// Shared score-matrix cache for SNMF. Only consulted when `score_key` is
   /// non-empty; the key must identify the (db, trapdoors) corpus pair
@@ -229,12 +227,6 @@ struct DispatchHooks {
   /// ctx.memory_budget_bytes bounds the cache's resident bytes.
   ScoreMatrixCache* score_cache = nullptr;
   std::string score_key;
-
-  /// Persistent MIP root-basis state, keyed by the caller (the daemon
-  /// keys on corpus fingerprints + attack parameters). Dispatch hands it to
-  /// the 7-arg run_mip_attack, which self-invalidates on model-digest
-  /// mismatch. The caller owns lifetime and cross-job locking.
-  MipWarmState* mip_warm = nullptr;
 };
 
 /// The single entry point the CLI, the daemon and the bench harnesses route

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <tuple>
 
@@ -59,47 +58,6 @@ Model build_mip_attack_model(
     model.add_constraint(std::move(expr), Sense::LessEqual, hi);
   }
   return model;
-}
-
-std::uint64_t mip_model_digest(const Model& model) {
-  // FNV-1a over every numeric fact of the model. Full-content keying is
-  // deliberate: two same-shaped models with different coefficients can land
-  // on different optimal vertices under the attack's zero objective, so a
-  // shape-only key would let a warm basis change the answer.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_double = [&](double x) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof bits);
-    mix(bits);
-  };
-  mix(model.num_variables());
-  for (std::size_t j = 0; j < model.num_variables(); ++j) {
-    const opt::Variable& v = model.variable(j);
-    mix(static_cast<std::uint64_t>(v.type));
-    mix_double(v.lb);
-    mix_double(v.ub);
-  }
-  mix(model.num_constraints());
-  for (std::size_t i = 0; i < model.num_constraints(); ++i) {
-    const opt::Constraint& c = model.constraint(i);
-    mix(static_cast<std::uint64_t>(c.sense));
-    mix_double(c.rhs);
-    mix(c.terms.size());
-    for (const opt::Term& t : c.terms) {
-      mix(t.var);
-      mix_double(t.coef);
-    }
-  }
-  mix(model.objective().size());
-  for (const opt::Term& t : model.objective()) {
-    mix(t.var);
-    mix_double(t.coef);
-  }
-  return h;
 }
 
 namespace detail {
@@ -281,7 +239,8 @@ struct HeuristicCounters {
   std::size_t polish_flips = 0;  // polish flips applied
 };
 
-/// Root-LP rounding + exact (rhat, that) refit + greedy bit-flip repair.
+/// Root-ordering rounding (correlation, or the LP relaxation on request) +
+/// exact (rhat, that) refit + greedy bit-flip repair.
 /// Returns a feasible point when it finds one. fit_rt probes fan out over
 /// `threads`; every selection scan stays in ascending keyword order, so the
 /// result is bit-identical to the serial implementation (all candidate
@@ -290,7 +249,7 @@ std::optional<MipAttackResult> primal_heuristic(
     const std::vector<sse::KnownBinaryPair>& known_pairs, const Vec& c,
     double mu, double sigma, const MipAttackOptions& options,
     const Model& model, std::optional<opt::SimplexSolver>& solver,
-    std::size_t threads, HeuristicCounters& counters, MipWarmState& warm) {
+    std::size_t threads, HeuristicCounters& counters) {
   const std::size_t d = known_pairs[0].record.size();
   const std::size_t m = known_pairs.size();
   const double lsigma = options.l * sigma;
@@ -302,34 +261,13 @@ std::optional<MipAttackResult> primal_heuristic(
     for (const std::uint32_t i : incidence.rows_with(k)) a[i] += delta;
   };
 
-  const bool use_lp =
-      options.root_ordering == RootOrdering::LpRelaxation ||
-      (options.root_ordering == RootOrdering::Auto && m <= 300);
-
   Vec relaxed_q(d, 0.0);
-  if (use_lp) {
+  if (options.root_ordering == RootOrdering::LpRelaxation) {
     obs::Span span("mip/root_relaxation");
     // The solver outlives the heuristic: when rounding/repair fails, branch
     // and bound reuses both the built tableau and the root-LP basis.
-    if (!solver.has_value()) solver.emplace(model, options.solver.lp);
-    opt::LpResult root;
-    if (warm.has_root_basis) {
-      solver->warm_attach(warm.root_basis);
-      root = solver->solve_warm();
-    } else {
-      root = solver->solve();
-      if (root.status == opt::LpStatus::Optimal) {
-        // Canonicalize the cold solve: export the basis, restore it and
-        // re-solve warm. A restore refactorizes B^{-1}, which can differ
-        // from the cold solve's incrementally-updated inverse by ulps — so
-        // the point every run uses is the refactorized one, whether the
-        // basis came from this run or an earlier job's.
-        warm.root_basis = solver->basis();
-        solver->restore(warm.root_basis);
-        root = solver->solve_warm();
-        warm.has_root_basis = root.status == opt::LpStatus::Optimal;
-      }
-    }
+    solver.emplace(model, options.solver.lp);
+    const opt::LpResult root = solver->solve();
     if (root.status == opt::LpStatus::Infeasible) return std::nullopt;
     if (root.status == opt::LpStatus::Optimal) {
       for (std::size_t k = 0; k < d; ++k) relaxed_q[k] = root.x[2 + k];
@@ -599,15 +537,6 @@ MipAttackResult run_mip_attack(
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
     const MipAttackOptions& options, const ExecContext& ctx) {
-  return run_mip_attack(known_pairs, cipher_trapdoor, mu, sigma, options, ctx,
-                        nullptr);
-}
-
-MipAttackResult run_mip_attack(
-    const std::vector<sse::KnownBinaryPair>& known_pairs,
-    const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
-    const MipAttackOptions& options, const ExecContext& ctx,
-    MipWarmState* warm) {
   Stopwatch watch;
   obs::ScopedRecording rec(ctx.sink);
   // Root span only when this overload owns the recording, so the trace has
@@ -622,24 +551,11 @@ MipAttackResult run_mip_attack(
                                    options);
   }
 
-  // One solver for the whole attack: the heuristic's root LP builds the
+  // One solver for the whole attack: the LP root ordering builds the
   // tableau and leaves an optimal basis, which then warm-starts the root of
-  // branch and bound. Constructed lazily — the correlation-ordering
-  // heuristic path usually returns without ever touching the simplex.
+  // branch and bound. Constructed lazily — the default correlation ordering
+  // never touches the simplex unless the heuristic fails.
   std::optional<opt::SimplexSolver> solver;
-
-  // Every run goes through the warm-state code path — callers without a
-  // persistent state get a throwaway one — so a run that exports, a run
-  // that attaches and a plain solo run share one pivot sequence and one
-  // answer. A digest mismatch means the cached state belongs to a different
-  // model: drop it and re-export from this job.
-  MipWarmState scratch;
-  MipWarmState* ws = warm != nullptr ? warm : &scratch;
-  const std::uint64_t digest = mip_model_digest(model);
-  if (ws->model_digest != digest) {
-    *ws = MipWarmState{};
-    ws->model_digest = digest;
-  }
 
   MipAttackResult result;
   HeuristicCounters heuristic_counters;
@@ -652,7 +568,7 @@ MipAttackResult run_mip_attack(
     }
     auto heuristic =
         primal_heuristic(known_pairs, c, mu, sigma, options, model, solver,
-                         ctx.resolved_threads(), heuristic_counters, *ws);
+                         ctx.resolved_threads(), heuristic_counters);
     if (heuristic.has_value()) {
       result = *std::move(heuristic);
       answered = true;

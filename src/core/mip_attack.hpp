@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "core/exec_context.hpp"
@@ -29,20 +28,21 @@ namespace aspe::core {
 
 /// How the primal heuristic ranks candidate keywords.
 enum class RootOrdering {
-  /// LP when the model is small enough, correlation otherwise.
-  Auto,
-  /// Solve the LP relaxation of Eq. (14) at the root (faithful to a
-  /// B&B solver's root node, cost grows with the simplex basis ~ (2m)^2).
-  LpRelaxation,
   /// Rank keyword k by the empirical correlation between P_i[k] and the
   /// observed scores c_i — records containing a true query keyword score
-  /// higher. O(m d), scales to the paper's d = 1000 settings.
+  /// higher. O(m d), scales to the paper's d = 1000 settings. The default:
+  /// Algorithm 2 needs only *a* feasible point, and the heuristic finds one
+  /// from this ordering without any simplex work.
   Correlation,
+  /// Solve the LP relaxation of Eq. (14) at the root (faithful to a
+  /// B&B solver's root node, cost grows with the simplex basis ~ (2m)^2).
+  /// Opt-in, for ablations.
+  LpRelaxation,
 };
 
 struct MipAttackOptions {
   double l = 3.0;  // noise interval half width, in sigmas
-  RootOrdering root_ordering = RootOrdering::Auto;
+  RootOrdering root_ordering = RootOrdering::Correlation;
   /// Bounds making the continuous variables finite for the LP relaxation;
   /// rhat = 1/r and that = t/r with r in [0.5, 2], t in [0.1, 1] under the
   /// reference trapdoor generator, so these are generous.
@@ -50,8 +50,8 @@ struct MipAttackOptions {
   double rhat_max = 1e4;
   double that_min = 1e-6;
   double that_max = 1e4;
-  /// Try the primal heuristic (LP rounding + exact 2-variable refit + greedy
-  /// bit-flip repair) before branch and bound. This mirrors the rounding/
+  /// Try the primal heuristic (root-ordering rounding + exact 2-variable
+  /// refit + greedy bit-flip repair) before branch and bound. This mirrors the rounding/
   /// diving heuristics a commercial solver such as Gurobi runs at the root
   /// node, and is what makes paper-scale instances tractable.
   bool use_heuristic = true;
@@ -84,28 +84,6 @@ struct MipAttackResult {
   AttackTelemetry telemetry;
 };
 
-/// Persistent cross-job warm state for run_mip_attack: the root-LP basis of
-/// the primal heuristic. Keyed by a digest over the *full* numeric content of
-/// the built model — two jobs warm-share state only when their models are
-/// identical down to every coefficient bit, which (with a deterministic
-/// solver) makes the warm answer bit-identical to the cold one. A digest
-/// mismatch resets the state and re-exports from the current job.
-///
-/// The attack canonicalizes its root LP whether or not a state is attached
-/// (basis exported, restored, re-solved warm), so solo runs, exporting runs
-/// and attaching runs all follow one pivot sequence — into branch and bound
-/// too, whose root node warm-starts from that basis.
-struct MipWarmState {
-  std::uint64_t model_digest = 0;
-  bool has_root_basis = false;
-  opt::BasisState root_basis;  // heuristic root-LP basis
-};
-
-/// FNV-1a digest over a model's complete numeric content (variable bounds,
-/// types, constraint terms, senses, right-hand sides, objective). Used to
-/// key MipWarmState.
-[[nodiscard]] std::uint64_t mip_model_digest(const opt::Model& model);
-
 /// Attack one ciphertext trapdoor using the KPA view's known pairs.
 /// `mu` and `sigma` are MRSE's public noise parameters.
 ///
@@ -123,15 +101,6 @@ struct MipWarmState {
     const std::vector<sse::KnownBinaryPair>& known_pairs,
     const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
     const MipAttackOptions& options = {}, const ExecContext& ctx = {});
-
-/// Variant with a persistent warm state (see MipWarmState): a repeated job
-/// whose model digest matches skips the cold root LP, bit-identically. Pass
-/// nullptr for the plain behaviour.
-[[nodiscard]] MipAttackResult run_mip_attack(
-    const std::vector<sse::KnownBinaryPair>& known_pairs,
-    const scheme::CipherPair& cipher_trapdoor, double mu, double sigma,
-    const MipAttackOptions& options, const ExecContext& ctx,
-    MipWarmState* warm);
 
 /// Convenience: attack the j-th observed trapdoor of an MRSE KPA view.
 [[nodiscard]] MipAttackResult run_mip_attack(

@@ -1,5 +1,6 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -9,7 +10,34 @@ namespace aspe::linalg {
 
 namespace {
 constexpr double kPivotTolerance = 1e-12;
+
+/// acc[c] += coef[j] * y(j, c) for the rows j in [j0, j1), in ascending j:
+/// every lane runs the same chain of rounded multiplies and adds as the
+/// scalar dot in solve_into, four rows per pass over acc.
+void accumulate_rows(const double* coef, const Matrix& y, std::size_t j0,
+                     std::size_t j1, double* __restrict acc) {
+  const std::size_t n = y.cols();
+  std::size_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    const double c0 = coef[j], c1 = coef[j + 1], c2 = coef[j + 2],
+                 c3 = coef[j + 3];
+    const double* __restrict y0 = y.row_ptr(j);
+    const double* __restrict y1 = y.row_ptr(j + 1);
+    const double* __restrict y2 = y.row_ptr(j + 2);
+    const double* __restrict y3 = y.row_ptr(j + 3);
+    for (std::size_t c = 0; c < n; ++c) {
+      acc[c] = (((acc[c] + c0 * y0[c]) + c1 * y1[c]) + c2 * y2[c]) +
+               c3 * y3[c];
+    }
+  }
+  for (; j < j1; ++j) {
+    const double cj = coef[j];
+    const double* __restrict yj = y.row_ptr(j);
+    for (std::size_t c = 0; c < n; ++c) acc[c] += cj * yj[c];
+  }
 }
+
+}  // namespace
 
 LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
   require(lu_.rows() == lu_.cols(), "LuDecomposition: matrix must be square");
@@ -95,7 +123,33 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
 }
 
 Matrix LuDecomposition::inverse() const {
-  return solve(Matrix::identity(dim()));
+  if (singular_) {
+    throw NumericalError("LuDecomposition::solve: matrix is singular");
+  }
+  // All n right-hand sides e_c at once: row i of y holds entry i of every
+  // column, so each substitution step runs down contiguous rows. Entry
+  // (i, c) gets solve_into's arithmetic for b = e_c: the sum starts at 0.0
+  // and runs in ascending j, then one subtraction (and, going back, one
+  // division) — the inverse is bit-identical to the column-by-column solve.
+  const std::size_t n = dim();
+  Matrix y(n, n);
+  Vec acc(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill(acc.begin(), acc.end(), 0.0);
+    accumulate_rows(lu_.row_ptr(i), y, 0, i, acc.data());
+    double* yi = y.row_ptr(i);
+    for (std::size_t c = 0; c < n; ++c) {
+      yi[c] = (perm_[i] == c ? 1.0 : 0.0) - acc[c];
+    }
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    std::fill(acc.begin(), acc.end(), 0.0);
+    accumulate_rows(lu_.row_ptr(ii), y, ii + 1, n, acc.data());
+    double* yi = y.row_ptr(ii);
+    const double pivot = lu_(ii, ii);
+    for (std::size_t c = 0; c < n; ++c) yi[c] = (yi[c] - acc[c]) / pivot;
+  }
+  return y;
 }
 
 double LuDecomposition::determinant() const {

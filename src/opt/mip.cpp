@@ -112,7 +112,14 @@ class DepthFirstSearch {
         solver_(solver),
         options_(options),
         entry_stats_(solver.stats()),
-        trail_(solver) {}
+        trail_(solver) {
+    // The search's time limit also binds inside each LP: one root solve of
+    // a large model can otherwise run for minutes past it.
+    solver_.set_deadline(options_.time_limit_seconds);
+  }
+  ~DepthFirstSearch() { solver_.clear_deadline(); }
+  DepthFirstSearch(const DepthFirstSearch&) = delete;
+  DepthFirstSearch& operator=(const DepthFirstSearch&) = delete;
 
   MipResult run() {
     obs::Span span("opt/solve_mip");
@@ -129,7 +136,8 @@ class DepthFirstSearch {
     if (have_incumbent_) {
       result_.status = truncated_ ? MipStatus::Feasible : MipStatus::Optimal;
     } else if (truncated_) {
-      result_.status = watch_.seconds() > options_.time_limit_seconds
+      result_.status = timed_out_ || watch_.seconds() >
+                                         options_.time_limit_seconds
                            ? MipStatus::TimeLimit
                            : MipStatus::NodeLimit;
     } else {
@@ -159,7 +167,7 @@ class DepthFirstSearch {
   }
 
   /// Solve one node and branch on it. Returns true to stop the search at a
-  /// first_feasible incumbent.
+  /// first_feasible incumbent or when the node's LP ran into the time limit.
   bool expand(const Node& node) {
     ++result_.nodes_explored;
     max_depth_ = std::max(max_depth_, node.path ? node.path->depth - 1 : 0);
@@ -181,7 +189,10 @@ class DepthFirstSearch {
         return false;
       case LpStatus::IterationLimit:
         truncated_ = true;
-        return false;
+        // Stopped by the time limit: end the search, like the check in
+        // search() would before the next node.
+        timed_out_ = solver_.past_deadline();
+        return timed_out_;
       case LpStatus::Unbounded:
         throw NumericalError("solve_mip: LP relaxation is unbounded");
     }
@@ -295,6 +306,7 @@ class DepthFirstSearch {
   double incumbent_obj_ = kInfinity;
   bool have_incumbent_ = false;
   bool truncated_ = false;
+  bool timed_out_ = false;  // an LP stopped at the time limit
 
   std::size_t pruned_parent_bound_ = 0;
   std::size_t pruned_bound_ = 0;

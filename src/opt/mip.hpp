@@ -56,6 +56,9 @@ struct MipOptions {
   /// historical cold-solve-per-node behaviour.
   bool warm_start = true;
   std::size_t max_nodes = 200000;
+  /// Wall-clock budget of the search, from the solve_mip call. It binds
+  /// between nodes and, through SimplexSolver::set_deadline, inside each
+  /// node's LP; a search it stops without an incumbent ends as TimeLimit.
   double time_limit_seconds = 60.0;
   double int_tol = 1e-6;
   SimplexOptions lp;

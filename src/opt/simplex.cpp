@@ -135,7 +135,6 @@ void SimplexSolver::reset_to_artificial_basis() {
   // the residual and form the initial basis.
   status_.assign(total_, VarStatus::AtLower);
   for (std::size_t a = 0; a < m_; ++a) ub_[art_begin_ + a] = kInfinity;
-  arts_pinned_ = false;
 
   Vec residual = rhs_;
   for (std::size_t j = 0; j < n_; ++j) {
@@ -300,6 +299,7 @@ LpStatus SimplexSolver::optimize(const Vec& cost,
   Vec y(m_), rho(m_);
 
   while (true) {
+    if (past_deadline()) return LpStatus::IterationLimit;
     if (local_iters++ > max_iters) return LpStatus::IterationLimit;
     ++iteration_counter;
     ++stats_.primal_iterations;
@@ -453,6 +453,7 @@ LpStatus SimplexSolver::dual_optimize(std::size_t& iteration_counter) {
   Vec y(m_), rho(m_);
 
   while (true) {
+    if (past_deadline()) return LpStatus::IterationLimit;
     if (local_iters++ > max_iters) return LpStatus::IterationLimit;
     ++iteration_counter;
     ++stats_.dual_iterations;
@@ -597,7 +598,6 @@ LpResult SimplexSolver::solve() {
       status_[art_begin_ + a] = VarStatus::AtLower;
     }
   }
-  arts_pinned_ = true;
   rebuild_phase2_cost();
   const LpStatus s2 = optimize(cost2_, iterations);
   if (s2 == LpStatus::Optimal) have_basis_ = true;
@@ -629,6 +629,7 @@ LpResult SimplexSolver::solve_warm() {
     return extract_result(LpStatus::Infeasible, iterations);
   }
   if (dual == LpStatus::IterationLimit) {
+    if (past_deadline()) return extract_result(dual, iterations);
     ++stats_.dual_fallbacks;
     obs::counter_add("simplex.dual_fallbacks", 1.0);
     obs::instant("simplex/dual_fallback");
@@ -644,6 +645,7 @@ LpResult SimplexSolver::solve_warm() {
     return extract_result(LpStatus::Unbounded, iterations);
   }
   if (s2 != LpStatus::Optimal) {
+    if (past_deadline()) return extract_result(s2, iterations);
     ++stats_.dual_fallbacks;
     obs::counter_add("simplex.dual_fallbacks", 1.0);
     obs::instant("simplex/dual_fallback");
@@ -680,15 +682,14 @@ void SimplexSolver::restore(const BasisState& state) {
   binv_valid_ = false;  // refactorized lazily by the next solve_warm
 }
 
-void SimplexSolver::warm_attach(const BasisState& state) {
-  restore(state);
-  for (std::size_t a = 0; a < m_; ++a) {
-    ub_[art_begin_ + a] = 0.0;
-    if (status_[art_begin_ + a] == VarStatus::AtUpper) {
-      status_[art_begin_ + a] = VarStatus::AtLower;
-    }
-  }
-  arts_pinned_ = true;
+void SimplexSolver::set_deadline(double seconds) {
+  has_deadline_ = true;
+  deadline_clock_.reset();
+  deadline_seconds_ = seconds;
+}
+
+bool SimplexSolver::past_deadline() const {
+  return has_deadline_ && deadline_clock_.seconds() > deadline_seconds_;
 }
 
 LpResult solve_lp(const Model& model, const SimplexOptions& options) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "common/types.hpp"
 #include "linalg/matrix.hpp"
 #include "opt/model.hpp"
@@ -123,13 +124,18 @@ class SimplexSolver {
   /// lazily on the next solve_warm.
   void restore(const BasisState& state);
 
-  /// Attach a basis exported by *another solver over an identical model*
-  /// (same variables, rows and column layout): restore + pin the artificial
-  /// columns to zero, reproducing the exporting solver's post-phase-1 state.
-  /// A plain restore is not enough on a never-solved solver — its artificials
-  /// still have infinite upper bounds, so a dual re-solve could pivot one
-  /// back in and diverge from the exporting solver bit-for-bit.
-  void warm_attach(const BasisState& state);
+  /// Wall-clock budget for the pivot loops: once `seconds` have passed since
+  /// this call, the primal and dual loops stop before their next pivot and
+  /// the solve returns LpStatus::IterationLimit without a cold fallback.
+  /// solve_mip installs its own time limit here for the search's duration.
+  /// Only wall time is read, so a solve that finishes within the budget is
+  /// unchanged bit for bit. The clock is read once per pivot, which costs
+  /// nothing measurable next to a pivot's O(m^2) inverse update.
+  void set_deadline(double seconds);
+  /// Remove the budget (the default).
+  void clear_deadline() { has_deadline_ = false; }
+  /// True when a deadline is set and has passed.
+  [[nodiscard]] bool past_deadline() const;
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
 
@@ -180,10 +186,12 @@ class SimplexSolver {
 
   bool have_basis_ = false;
   bool binv_valid_ = false;
-  bool arts_pinned_ = false;  // artificials fixed to 0 (post phase 1)
   std::size_t pivots_since_refactor_ = 0;
   std::uint64_t synced_bound_revision_ = 0;
   SolverStats stats_;
+  bool has_deadline_ = false;
+  Stopwatch deadline_clock_;
+  double deadline_seconds_ = 0.0;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };

@@ -492,7 +492,6 @@ DaemonStats Daemon::stats() const {
   s.batches_formed = batches_formed_.load(std::memory_order_relaxed);
   s.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
   s.affinity_hits = affinity_hits_.load(std::memory_order_relaxed);
-  s.basis_cache_hits = basis_hits_.load(std::memory_order_relaxed);
   {
     const auto sc = score_cache_.stats();
     s.score_cache_hits = sc.hits;
@@ -625,45 +624,12 @@ core::AttackResponse Daemon::execute_resolved(
           return core::dispatch_attack(resolved, ctx);
         } else if constexpr (std::is_same_v<T, core::MipRequest>) {
           core::MipRequest r = typed;
-          std::string kp_fp, db_fp, td_fp;
-          r.known_plain = resolve_vecs(typed.known_plain, &kp_fp);
-          r.db = resolve_ciphers(typed.db, &db_fp);
-          r.trapdoors = resolve_ciphers(typed.trapdoors, &td_fp);
-          const bool identified =
-              !kp_fp.empty() && !db_fp.empty() && !td_fp.empty();
+          r.known_plain = resolve_vecs(typed.known_plain, nullptr);
+          r.db = resolve_ciphers(typed.db, nullptr);
+          r.trapdoors = resolve_ciphers(typed.trapdoors, nullptr);
           core::AttackRequest resolved;
           resolved.request = std::move(r);
-          if (!identified) return core::dispatch_attack(resolved, ctx);
-          // Persistent MIP basis cache: repeated jobs over the same corpora
-          // and parameters warm-start the root LP. run_mip_attack
-          // self-invalidates on model-digest mismatch, so the parameter key
-          // only scopes contention; correctness never depends on it. The
-          // entry mutex serializes the whole attack per key — two identical
-          // jobs never race on the shared basis.
-          std::ostringstream key;
-          key << kp_fp << '#' << db_fp << '#' << td_fp
-              << "#tid=" << typed.trapdoor_id << "#mu=" << key_f64(typed.mu)
-              << "#sigma=" << key_f64(typed.sigma)
-              << "#l=" << key_f64(typed.options.l)
-              << "#tl=" << key_f64(typed.options.solver.time_limit_seconds)
-              << "#nodes=" << typed.options.solver.max_nodes;
-          std::shared_ptr<MipBasisEntry> entry;
-          {
-            std::lock_guard<std::mutex> lk(cache_mu_);
-            if (mip_basis_.size() >= options_.max_cache_entries &&
-                mip_basis_.count(key.str()) == 0) {
-              mip_basis_.clear();
-            }
-            auto& slot = mip_basis_[key.str()];
-            if (slot == nullptr) slot = std::make_shared<MipBasisEntry>();
-            entry = slot;
-          }
-          std::lock_guard<std::mutex> lk(entry->mu);
-          const bool warm = entry->state.has_root_basis;
-          if (warm) basis_hits_.fetch_add(1, std::memory_order_relaxed);
-          core::DispatchHooks hooks;
-          hooks.mip_warm = &entry->state;
-          return core::dispatch_attack(resolved, ctx, hooks);
+          return core::dispatch_attack(resolved, ctx);
         } else {
           core::SnmfRequest r = typed;
           std::string db_fp, td_fp;

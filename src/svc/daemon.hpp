@@ -57,8 +57,8 @@ struct DaemonOptions {
   /// sink must outlive the daemon. May be null. A non-null sink disables
   /// SNMF batch coalescing (a fused sweep cannot attribute spans per job).
   obs::Sink* sink = nullptr;
-  /// Warm-cache entry cap (corpora, rank estimates, sessions and MIP basis
-  /// states each); a cache is cleared wholesale when it would exceed this.
+  /// Warm-cache entry cap (corpora, rank estimates and sessions each); a
+  /// cache is cleared wholesale when it would exceed this.
   std::size_t max_cache_entries = 64;
   /// Resident-byte budget of the shared score-matrix cache, and the
   /// ExecContext::memory_budget_bytes every job runs under. 0 = unbounded.
@@ -160,13 +160,6 @@ class Daemon {
     std::shared_ptr<const std::vector<scheme::CipherPair>> ciphers;
     std::shared_ptr<const std::vector<Vec>> vecs;
   };
-  /// One persistent MIP warm state (root basis). Serialized per key: the
-  /// entry mutex is held across the whole attack, so two identical MIP jobs
-  /// never race on the shared basis.
-  struct MipBasisEntry {
-    std::mutex mu;
-    core::MipWarmState state;
-  };
 
   void worker_loop();
   void run_job(Job&& job);
@@ -216,14 +209,13 @@ class Daemon {
   std::map<std::string, std::size_t> rank_cache_;
   std::map<std::string, std::shared_ptr<LepEntry>> lep_sessions_;
   std::map<std::string, std::shared_ptr<CoaEntry>> coa_sessions_;
-  std::map<std::string, std::shared_ptr<MipBasisEntry>> mip_basis_;
 
   core::ScoreMatrixCache score_cache_;
 
   std::atomic<std::uint64_t> submitted_{0}, completed_{0}, cancelled_{0},
       expired_{0}, rejected_{0}, corpus_hits_{0}, rank_hits_{0},
       lep_hits_{0}, snmf_resumes_{0}, batches_formed_{0}, batched_jobs_{0},
-      affinity_hits_{0}, basis_hits_{0};
+      affinity_hits_{0};
 };
 
 // ------------------------------------------------------------------ server

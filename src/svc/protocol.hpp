@@ -109,7 +109,10 @@ struct DaemonStats {
   std::uint64_t batches_formed = 0;   // fused sweeps executed
   std::uint64_t batched_jobs = 0;     // jobs that rode in a fused sweep
   std::uint64_t affinity_hits = 0;    // jobs scheduled onto warm state
-  std::uint64_t basis_cache_hits = 0; // MIP jobs warm-started from a basis
+  /// Retired, always 0: the daemon no longer caches MIP root bases (the
+  /// default MIP attack solves no root LP). Kept so the wire layout and
+  /// readers of the field stay unchanged.
+  std::uint64_t basis_cache_hits = 0;
   std::uint64_t score_cache_hits = 0;
   std::uint64_t score_cache_misses = 0;
   std::uint64_t score_cache_evictions = 0;

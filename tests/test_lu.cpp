@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "linalg/random_matrix.hpp"
 #include "linalg/vector_ops.hpp"
 #include "rng/rng.hpp"
@@ -58,6 +61,50 @@ TEST(Lu, InverseTimesOriginalIsIdentity) {
   const Matrix inv = LuDecomposition(a).inverse();
   EXPECT_TRUE((a * inv).approx_equal(Matrix::identity(6), 1e-8));
   EXPECT_TRUE((inv * a).approx_equal(Matrix::identity(6), 1e-8));
+}
+
+/// The column-by-column inverse inverse() replaced: one solve_into per
+/// column of the identity.
+Matrix column_by_column_inverse(const LuDecomposition& lu) {
+  const Matrix e = Matrix::identity(lu.dim());
+  Matrix x(lu.dim(), lu.dim());
+  for (std::size_t c = 0; c < lu.dim(); ++c) {
+    lu.solve_into(e.col_view(c), x.col_view(c));
+  }
+  return x;
+}
+
+void expect_inverse_matches_oracle_bitwise(const Matrix& a) {
+  const LuDecomposition lu(a);
+  ASSERT_FALSE(lu.is_singular());
+  const Matrix fast = lu.inverse();
+  const Matrix oracle = column_by_column_inverse(lu);
+  ASSERT_EQ(fast.rows(), oracle.rows());
+  ASSERT_EQ(fast.cols(), oracle.cols());
+  EXPECT_EQ(std::memcmp(fast.data().data(), oracle.data().data(),
+                        oracle.data().size() * sizeof(double)),
+            0)
+      << "n=" << a.rows();
+}
+
+TEST(Lu, InverseMatchesColumnByColumnSolveBitwise) {
+  rng::Rng rng(2017);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 13; ++n) sizes.push_back(n);
+  for (const std::size_t n : {100, 201, 509}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    expect_inverse_matches_oracle_bitwise(random_invertible(n, rng));
+    // Exact zeros and a pivot search on every column: a scaled permutation
+    // plus a sparse lower band.
+    Matrix sparse(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      sparse(i, (i * 7 + 3) % n) = 1.0 + static_cast<double>(i % 5);
+      if (i >= 2) sparse(i, i - 2) -= 0.5;
+    }
+    if (!LuDecomposition(sparse).is_singular()) {
+      expect_inverse_matches_oracle_bitwise(sparse);
+    }
+  }
 }
 
 TEST(Lu, SolveMatrixColumnwise) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/stopwatch.hpp"
 #include "core/mip_attack.hpp"
 #include "data/quest.hpp"
 #include "opt/mip.hpp"
@@ -159,6 +160,23 @@ TEST(MipBudget, AttackZeroTimeBudgetReportsTimeLimit) {
   EXPECT_FALSE(res.found);
   EXPECT_EQ(res.status, opt::MipStatus::TimeLimit);
   EXPECT_EQ(res.telemetry.counter("mip.bnb.nodes"), 0.0);
+}
+
+TEST(MipBudget, TimeLimitBindsInsideTheRootLp) {
+  // Branch and bound alone at d = m = 500: the root LP has 1,001 rows and,
+  // unbounded, ran 1,051 pivots in 7.1 s (Release, 4-vCPU x86-64). The
+  // search's time limit must stop the simplex itself, not wait for the
+  // root node to finish.
+  const AttackScenario s = make_attack_scenario(500, 500, 101);
+  MipAttackOptions opt;
+  opt.use_heuristic = false;
+  opt.solver.time_limit_seconds = 0.5;
+  Stopwatch watch;
+  const MipAttackResult res = run_mip_attack(s.view, 0, s.mu, s.sigma, opt);
+  const double seconds = watch.seconds();
+  EXPECT_FALSE(res.found);
+  EXPECT_EQ(res.status, opt::MipStatus::TimeLimit);
+  EXPECT_LT(seconds, 3.0);
 }
 
 TEST(MipBudget, TruncatedAttackIsThreadCountInvariant) {

@@ -812,7 +812,7 @@ class SvcScheduler : public SvcPipeline {
         << last_err_;
   }
 
-  core::AttackRequest mip_request(double l = 3.0) const {
+  core::AttackRequest mip_request() const {
     core::AttackRequest req;
     core::MipRequest mip;
     mip.known_plain = core::CorpusRef::from_path(path("mrecords.txt"));
@@ -820,7 +820,6 @@ class SvcScheduler : public SvcPipeline {
     mip.trapdoors = core::CorpusRef::from_path(path("mtd.txt"));
     mip.mu = 1.0;
     mip.sigma = 0.5;
-    mip.options.l = l;
     req.request = mip;
     return req;
   }
@@ -980,42 +979,41 @@ TEST_F(SvcScheduler, AffinityBypassBoundIsEnforced) {
   EXPECT_GE(daemon.stats().affinity_hits, 1u);
 }
 
-TEST_F(SvcScheduler, MipBasisCacheIsBitIdenticalAndShapeKeyed) {
+TEST_F(SvcScheduler, IdenticalMipJobsRunConcurrentlyAndMatchDispatch) {
+  // Identical MIP jobs share no warm state and no per-key lock: they run on
+  // separate workers at once, and each answers exactly like a direct
+  // dispatch of the same request.
   make_mip_corpus();
-  Daemon daemon{DaemonOptions{}};
+  const core::AttackResponse direct = core::dispatch_attack(mip_request());
+  ASSERT_TRUE(direct.ok()) << direct.message;
 
-  const core::AttackResponse cold = daemon.execute(mip_request(), {});
-  ASSERT_TRUE(cold.ok()) << cold.message;
-  const core::AttackResponse warm = daemon.execute(mip_request(), {});
-  ASSERT_TRUE(warm.ok()) << warm.message;
-  // The repeat warm-started from the cached root basis and produced the
-  // exact same reconstruction.
-  EXPECT_EQ(daemon.stats().basis_cache_hits, 1u);
-  EXPECT_EQ(cold.mip().query, warm.mip().query);
-  EXPECT_EQ(cold.mip().rhat, warm.mip().rhat);
-  EXPECT_EQ(cold.mip().that, warm.mip().that);
-
-  // Changing the model shape (here the relaxation width l, which changes
-  // the LP's bounds) must miss the cache, not warm-start from a stale
-  // basis: the hit counter stays put and the result matches a fresh
-  // daemon's cold answer for the new shape.
-  const core::AttackResponse reshaped = daemon.execute(mip_request(4.0), {});
-  ASSERT_TRUE(reshaped.ok()) << reshaped.message;
-  EXPECT_EQ(daemon.stats().basis_cache_hits, 1u);
-  Daemon fresh{DaemonOptions{}};
-  const core::AttackResponse fresh_reshaped =
-      fresh.execute(mip_request(4.0), {});
-  ASSERT_TRUE(fresh_reshaped.ok()) << fresh_reshaped.message;
-  EXPECT_EQ(reshaped.mip().query, fresh_reshaped.mip().query);
-  EXPECT_EQ(reshaped.mip().rhat, fresh_reshaped.mip().rhat);
-  EXPECT_EQ(reshaped.mip().that, fresh_reshaped.mip().that);
-
-  // And the new shape's basis is itself cached.
-  const core::AttackResponse reshaped_warm =
-      daemon.execute(mip_request(4.0), {});
-  ASSERT_TRUE(reshaped_warm.ok()) << reshaped_warm.message;
-  EXPECT_EQ(daemon.stats().basis_cache_hits, 2u);
-  EXPECT_EQ(reshaped.mip().query, reshaped_warm.mip().query);
+  constexpr std::size_t kJobs = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<core::AttackResponse> got;
+  DaemonOptions dopt;
+  dopt.workers = 4;
+  Daemon daemon(dopt);  // declared last: joins its workers first
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    daemon.submit(mip_request(), {},
+                  [&](std::uint64_t, core::AttackResponse&& resp) {
+                    std::lock_guard<std::mutex> lk(mu);
+                    got.push_back(std::move(resp));
+                    cv.notify_all();
+                  });
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, 60s, [&] { return got.size() == kJobs; }));
+  }
+  for (const core::AttackResponse& r : got) {
+    ASSERT_TRUE(r.ok()) << r.message;
+    EXPECT_EQ(r.mip().query, direct.mip().query);
+    EXPECT_EQ(r.mip().rhat, direct.mip().rhat);
+    EXPECT_EQ(r.mip().that, direct.mip().that);
+    EXPECT_EQ(r.mip().status, direct.mip().status);
+  }
+  EXPECT_EQ(daemon.stats().basis_cache_hits, 0u);  // retired field
 }
 
 TEST_F(SvcScheduler, ScoreCacheEvictsUnderTightMemoryBudget) {

@@ -52,9 +52,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 
 # Seventh pre-pass: the batching scheduler — fused SNMF sweeps demuxed to
 # concurrent waiters, the refcounted score-matrix cache with its building
-# markers, and the warm MIP basis state mutated across jobs. The scheduler
-# suites assert bitwise solo/batched equality at 1 and 8 workers, which a
-# racing restart slot or cache entry would break under TSan first.
+# markers, and identical MIP jobs running at once on separate workers. The
+# scheduler suites assert bitwise solo/batched equality at 1 and 8 workers,
+# which a racing restart slot or cache entry would break under TSan first.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "SvcScheduler|ScoreCache"
 
