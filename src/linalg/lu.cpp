@@ -113,43 +113,38 @@ void LuDecomposition::solve_into(ConstVecView b, VecView x) const {
 }
 
 Matrix LuDecomposition::solve(const Matrix& b) const {
-  require(b.rows() == dim(), "LuDecomposition::solve: dimension mismatch");
-  // Column views on both sides: no per-column copies in or out.
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    solve_into(b.col_view(c), x.col_view(c));
-  }
-  return x;
-}
-
-Matrix LuDecomposition::inverse() const {
+  const std::size_t n = dim();
+  require(b.rows() == n, "LuDecomposition::solve: dimension mismatch");
   if (singular_) {
     throw NumericalError("LuDecomposition::solve: matrix is singular");
   }
-  // All n right-hand sides e_c at once: row i of y holds entry i of every
+  // All right-hand sides at once: row i of y holds entry i of every
   // column, so each substitution step runs down contiguous rows. Entry
-  // (i, c) gets solve_into's arithmetic for b = e_c: the sum starts at 0.0
-  // and runs in ascending j, then one subtraction (and, going back, one
-  // division) — the inverse is bit-identical to the column-by-column solve.
-  const std::size_t n = dim();
-  Matrix y(n, n);
-  Vec acc(n);
+  // (i, c) gets solve_into's arithmetic for column c of b: the sum starts
+  // at 0.0 and runs in ascending j, then one subtraction (and, going back,
+  // one division) — bit-identical to solving column by column.
+  const std::size_t k = b.cols();
+  Matrix y(n, k);
+  Vec acc(k);
   for (std::size_t i = 0; i < n; ++i) {
     std::fill(acc.begin(), acc.end(), 0.0);
     accumulate_rows(lu_.row_ptr(i), y, 0, i, acc.data());
+    const double* bi = b.row_ptr(perm_[i]);
     double* yi = y.row_ptr(i);
-    for (std::size_t c = 0; c < n; ++c) {
-      yi[c] = (perm_[i] == c ? 1.0 : 0.0) - acc[c];
-    }
+    for (std::size_t c = 0; c < k; ++c) yi[c] = bi[c] - acc[c];
   }
   for (std::size_t ii = n; ii-- > 0;) {
     std::fill(acc.begin(), acc.end(), 0.0);
     accumulate_rows(lu_.row_ptr(ii), y, ii + 1, n, acc.data());
     double* yi = y.row_ptr(ii);
     const double pivot = lu_(ii, ii);
-    for (std::size_t c = 0; c < n; ++c) yi[c] = (yi[c] - acc[c]) / pivot;
+    for (std::size_t c = 0; c < k; ++c) yi[c] = (yi[c] - acc[c]) / pivot;
   }
   return y;
+}
+
+Matrix LuDecomposition::inverse() const {
+  return solve(Matrix::identity(dim()));
 }
 
 double LuDecomposition::determinant() const {

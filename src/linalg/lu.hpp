@@ -28,11 +28,11 @@ class LuDecomposition {
   /// they must not alias each other).
   void solve_into(ConstVecView b, VecView x) const;
 
-  /// Solve A X = B column by column (via column views, no copies).
+  /// Solve A X = B: one substitution pass over all columns at once,
+  /// bit-identical to solve_into on each column of B.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// A^{-1} (throws NumericalError when singular): one substitution pass
-  /// over all columns at once, bit-identical to solve(identity).
+  /// A^{-1} = solve(identity); throws NumericalError when singular.
   [[nodiscard]] Matrix inverse() const;
 
   /// det(A) (0 when singular was detected). Beware: over/underflows for

@@ -63,37 +63,51 @@ TEST(Lu, InverseTimesOriginalIsIdentity) {
   EXPECT_TRUE((inv * a).approx_equal(Matrix::identity(6), 1e-8));
 }
 
-/// The column-by-column inverse inverse() replaced: one solve_into per
-/// column of the identity.
-Matrix column_by_column_inverse(const LuDecomposition& lu) {
-  const Matrix e = Matrix::identity(lu.dim());
-  Matrix x(lu.dim(), lu.dim());
-  for (std::size_t c = 0; c < lu.dim(); ++c) {
-    lu.solve_into(e.col_view(c), x.col_view(c));
+/// The column-by-column solve that solve(Matrix) replaced: one solve_into
+/// per column of b.
+Matrix column_by_column_solve(const LuDecomposition& lu, const Matrix& b) {
+  Matrix x(b.rows(), b.cols());
+  for (std::size_t c = 0; c < b.cols(); ++c) {
+    lu.solve_into(b.col_view(c), x.col_view(c));
   }
   return x;
 }
 
-void expect_inverse_matches_oracle_bitwise(const Matrix& a) {
-  const LuDecomposition lu(a);
-  ASSERT_FALSE(lu.is_singular());
-  const Matrix fast = lu.inverse();
-  const Matrix oracle = column_by_column_inverse(lu);
+void expect_solve_matches_oracle_bitwise(const LuDecomposition& lu,
+                                         const Matrix& b) {
+  const Matrix fast = lu.solve(b);
+  const Matrix oracle = column_by_column_solve(lu, b);
   ASSERT_EQ(fast.rows(), oracle.rows());
   ASSERT_EQ(fast.cols(), oracle.cols());
   EXPECT_EQ(std::memcmp(fast.data().data(), oracle.data().data(),
                         oracle.data().size() * sizeof(double)),
             0)
-      << "n=" << a.rows();
+      << "n=" << b.rows() << " k=" << b.cols();
 }
 
-TEST(Lu, InverseMatchesColumnByColumnSolveBitwise) {
+void expect_solves_match_oracle_bitwise(const Matrix& a, rng::Rng& rng) {
+  const LuDecomposition lu(a);
+  ASSERT_FALSE(lu.is_singular());
+  const std::size_t n = a.rows();
+  // The identity (inverse() is solve(identity)), a dense random B and a
+  // three-column B holding exact zeros and -0.0.
+  expect_solve_matches_oracle_bitwise(lu, Matrix::identity(n));
+  expect_solve_matches_oracle_bitwise(lu, random_matrix(n, rng));
+  Matrix narrow(n, 3, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    narrow(i, i % 3) = i % 2 ? -0.0 : 1.5 + static_cast<double>(i);
+    narrow(i, (i + 1) % 3) = 0.25 * static_cast<double>(i % 7);
+  }
+  expect_solve_matches_oracle_bitwise(lu, narrow);
+}
+
+TEST(Lu, SolveMatrixMatchesColumnByColumnSolveBitwise) {
   rng::Rng rng(2017);
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 13; ++n) sizes.push_back(n);
   for (const std::size_t n : {100, 201, 509}) sizes.push_back(n);
   for (const std::size_t n : sizes) {
-    expect_inverse_matches_oracle_bitwise(random_invertible(n, rng));
+    expect_solves_match_oracle_bitwise(random_invertible(n, rng), rng);
     // Exact zeros and a pivot search on every column: a scaled permutation
     // plus a sparse lower band.
     Matrix sparse(n, n, 0.0);
@@ -102,7 +116,7 @@ TEST(Lu, InverseMatchesColumnByColumnSolveBitwise) {
       if (i >= 2) sparse(i, i - 2) -= 0.5;
     }
     if (!LuDecomposition(sparse).is_singular()) {
-      expect_inverse_matches_oracle_bitwise(sparse);
+      expect_solves_match_oracle_bitwise(sparse, rng);
     }
   }
 }

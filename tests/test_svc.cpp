@@ -979,10 +979,9 @@ TEST_F(SvcScheduler, AffinityBypassBoundIsEnforced) {
   EXPECT_GE(daemon.stats().affinity_hits, 1u);
 }
 
-TEST_F(SvcScheduler, IdenticalMipJobsRunConcurrentlyAndMatchDispatch) {
-  // Identical MIP jobs share no warm state and no per-key lock: they run on
-  // separate workers at once, and each answers exactly like a direct
-  // dispatch of the same request.
+TEST_F(SvcScheduler, IdenticalMipJobsMatchDispatch) {
+  // Identical MIP jobs submitted together to four workers share no warm
+  // state: each answers exactly like a direct dispatch of the same request.
   make_mip_corpus();
   const core::AttackResponse direct = core::dispatch_attack(mip_request());
   ASSERT_TRUE(direct.ok()) << direct.message;
