@@ -17,6 +17,7 @@
 #include "core/snmf_attack.hpp"
 #include "data/quest.hpp"
 #include "io/codec.hpp"
+#include "io/atomic_file.hpp"
 #include "io/key_io.hpp"
 #include "io/session_io.hpp"
 #include "obs/sinks.hpp"
@@ -35,10 +36,10 @@ std::ifstream open_input(const std::string& path) {
   return f;
 }
 
-std::ofstream open_output(const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw io::IoError("cannot open output file: " + path);
-  return f;
+/// Outputs replace their target only on commit() (io/atomic_file.hpp): a
+/// run that fails or is killed mid-write leaves the previous file intact.
+io::AtomicOfstream open_output(const std::string& path) {
+  return io::AtomicOfstream(path);
 }
 
 std::string required(const CliFlags& flags, const std::string& name) {
@@ -165,6 +166,7 @@ class CommandObs {
       f << ": " << value;
     }
     f << (telemetry.gauges.empty() ? "}" : "\n  }") << "\n}\n";
+    f.commit();
     out << "wrote metrics to " << metrics_path_ << "\n";
   }
 
@@ -270,6 +272,7 @@ void write_snmf_outputs(const core::SnmfAttackResult& res,
     f << "# reconstructed trapdoors (" << res.trapdoors.size() << ")\n";
     for (const auto& v : res.trapdoors) w->write_bitvec(v);
     w->finish();
+    f.commit();
   }
   out << "SNMF attack: reconstructed " << res.indexes.size()
       << " indexes and " << res.trapdoors.size()
@@ -315,6 +318,7 @@ int cmd_keygen(const CliFlags& flags, std::ostream& out) {
   const scheme::SplitEncryptor key(dim, rng);
   auto f = open_output(required(flags, "key"));
   io::write_split_encryptor(f, key);
+  f.commit();
   out << "wrote " << dim << "-dimensional split-encryptor key to "
       << flags.get_string("key", "") << "\n";
   return 0;

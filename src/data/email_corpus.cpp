@@ -21,13 +21,15 @@ EmailCorpusGenerator::EmailCorpusGenerator(const EmailCorpusOptions& options,
               options.duplicate_fraction < 1.0,
           "EmailCorpusGenerator: bad duplicate fraction");
   vocabulary_.reserve(options.vocabulary_size);
-  word_weights_.reserve(options.vocabulary_size);
+  std::vector<double> word_weights;
+  word_weights.reserve(options.vocabulary_size);
   for (std::size_t i = 0; i < options.vocabulary_size; ++i) {
     vocabulary_.push_back(word_for(i));
     word_index_.emplace(vocabulary_.back(), i);
-    word_weights_.push_back(
+    word_weights.push_back(
         1.0 / std::pow(static_cast<double>(i + 1), options.zipf_exponent));
   }
+  word_sampler_ = rng::DiscreteSampler(std::move(word_weights));
   require(word_index_.size() == options.vocabulary_size,
           "EmailCorpusGenerator: vocabulary hash collision (unexpected)");
 }
@@ -60,13 +62,13 @@ std::vector<Email> EmailCorpusGenerator::generate() {
   emails.reserve(options_.num_emails);
 
   // Zipf weights over duplicate targets: early emails attract most copies.
-  std::vector<double> dup_weights;
+  rng::DiscreteSampler dup_targets;
 
   for (std::size_t id = 0; id < options_.num_emails; ++id) {
     const bool duplicate =
         !emails.empty() && rng_.bernoulli(options_.duplicate_fraction);
     if (duplicate) {
-      const std::size_t target = rng_.discrete(dup_weights);
+      const std::size_t target = dup_targets.sample(rng_);
       Email e = emails[target];
       e.id = id;
       e.duplicate_of =
@@ -74,7 +76,7 @@ std::vector<Email> EmailCorpusGenerator::generate() {
               ? target
               : emails[target].duplicate_of;  // chain to the original
       emails.push_back(std::move(e));
-      dup_weights.push_back(0.0);  // copies do not attract further copies
+      dup_targets.push_back(0.0);  // copies do not attract further copies
       continue;
     }
     Email e;
@@ -83,17 +85,17 @@ std::vector<Email> EmailCorpusGenerator::generate() {
         static_cast<std::int64_t>(options_.min_keywords),
         static_cast<std::int64_t>(options_.max_keywords)));
     std::unordered_set<std::size_t> chosen;
-    std::vector<double> weights = word_weights_;
+    rng::DiscreteSampler words = word_sampler_;
     while (chosen.size() < k) {
-      const std::size_t w = rng_.discrete(weights);
+      const std::size_t w = words.sample(rng_);
       if (chosen.insert(w).second) {
         e.keywords.push_back(vocabulary_[w]);
-        weights[w] = 0.0;
+        words.zero(w);
       }
     }
     emails.push_back(std::move(e));
-    dup_weights.push_back(
-        1.0 / std::pow(static_cast<double>(dup_weights.size() + 1), 1.0));
+    dup_targets.push_back(
+        1.0 / std::pow(static_cast<double>(dup_targets.size() + 1), 1.0));
   }
   return emails;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "rng/discrete_sampler.hpp"
 #include "rng/rng.hpp"
 
 namespace aspe::data {
@@ -64,7 +65,7 @@ class EmailCorpusGenerator {
   EmailCorpusOptions options_;
   rng::Rng rng_;
   std::vector<std::string> vocabulary_;
-  std::vector<double> word_weights_;
+  rng::DiscreteSampler word_sampler_;  // Zipf word popularity
   std::unordered_map<std::string, std::size_t> word_index_;
 };
 

@@ -12,11 +12,12 @@ QuestGenerator::QuestGenerator(const QuestOptions& options, rng::Rng rng)
   require(options.num_items > 0, "QuestGenerator: need at least one item");
   require(options.density > 0.0 && options.density <= 1.0,
           "QuestGenerator: density must be in (0, 1]");
-  item_weights_.resize(options.num_items);
+  std::vector<double> weights(options.num_items);
   for (std::size_t i = 0; i < options.num_items; ++i) {
-    item_weights_[i] =
+    weights[i] =
         1.0 / std::pow(static_cast<double>(i + 1), options.zipf_exponent);
   }
+  item_sampler_ = rng::DiscreteSampler(std::move(weights));
 }
 
 BitVec QuestGenerator::next() {
@@ -27,11 +28,11 @@ BitVec QuestGenerator::next() {
 
   // Weighted sampling without replacement.
   BitVec v(d, 0);
-  std::vector<double> weights = item_weights_;
+  rng::DiscreteSampler items = item_sampler_;
   for (std::size_t k = 0; k < size; ++k) {
-    const std::size_t idx = rng_.discrete(weights);
+    const std::size_t idx = items.sample(rng_);
     v[idx] = 1;
-    weights[idx] = 0.0;
+    items.zero(idx);
   }
   return v;
 }

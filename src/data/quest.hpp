@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "rng/discrete_sampler.hpp"
 #include "rng/rng.hpp"
 
 namespace aspe::data {
@@ -38,7 +39,7 @@ class QuestGenerator {
  private:
   QuestOptions options_;
   rng::Rng rng_;
-  std::vector<double> item_weights_;
+  rng::DiscreteSampler item_sampler_;  // Zipf item popularity
 };
 
 /// Average density of ones over a set of binary vectors.

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "io/atomic_file.hpp"
 #include "io/serialization.hpp"
 
 namespace aspe::io {
@@ -99,9 +100,9 @@ core::CoaSessionSnapshot load_coa_session(std::istream& is) {
 
 void save_coa_session(const std::string& path,
                       const core::CoaSessionSnapshot& s) {
-  std::ofstream os(path);
-  if (!os) throw IoError("cannot open output file: " + path);
+  AtomicOfstream os(path);
   save_coa_session(os, s);
+  os.commit();
 }
 
 core::CoaSessionSnapshot load_coa_session(const std::string& path) {
@@ -176,9 +177,9 @@ core::LepSessionSnapshot load_lep_session(std::istream& is) {
 
 void save_lep_session(const std::string& path,
                       const core::LepSessionSnapshot& s) {
-  std::ofstream os(path);
-  if (!os) throw IoError("cannot open output file: " + path);
+  AtomicOfstream os(path);
   save_lep_session(os, s);
+  os.commit();
 }
 
 core::LepSessionSnapshot load_lep_session(const std::string& path) {

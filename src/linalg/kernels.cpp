@@ -13,11 +13,8 @@ namespace {
 
 using namespace simd;
 
-// Products smaller than this many scalar multiply-adds are not worth the
-// pool dispatch; measured crossover is a few hundred thousand flops. The
-// same bound gates the packed-GEMM path, so small fixtures keep the exact
-// arithmetic order of the pre-view triple loop.
-constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
+// kParallelFlopThreshold (kernels.hpp) also gates the packed-GEMM path, so
+// small fixtures keep the exact arithmetic order of the pre-view triple loop.
 
 // Packed-GEMM blocking. The micro-kernel computes an MR x NR tile of C from
 // panels packed k-major; MC/KC size the A block to L2 and the B panel rows
@@ -113,11 +110,11 @@ void tile_rows(const double* base, std::size_t stride, std::size_t i0,
   }
 }
 
-/// C += alpha * op(A) B^T on dot tiles: entry (i, j) is the chain
-/// s = sum_p op(A)(i, p) * B(j, p), then c(i, j) += alpha * s.
-void gemm_small_dots(double alpha, ConstMatrixView a, Op opa,
-                     ConstMatrixView b, MatrixView c) {
-  const std::size_t m = c.rows();
+/// Rows [i0, i0 + kDotTile) of C += alpha * op(A) B^T on dot tiles (fewer
+/// at the bottom edge): entry (i, j) is the chain s = sum_p op(A)(i, p) *
+/// B(j, p), then c(i, j) += alpha * s.
+void dot_tile_row(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b,
+                  MatrixView c, std::size_t i0) {
   const std::size_t n = c.cols();
   const std::size_t k = op_cols(a, opa);
   // Row i of op(A) starts at a.row_ptr(i) with unit step, or (transposed)
@@ -125,21 +122,27 @@ void gemm_small_dots(double alpha, ConstMatrixView a, Op opa,
   const bool a_rows = opa == Op::None;
   const std::size_t a_step = a_rows ? a.row_stride() : 1;
   const std::size_t sa = a_rows ? 1 : a.row_stride();
+  const std::size_t mr = std::min(kDotTile, c.rows() - i0);
+  const double* arows[kDotTile] = {};
+  tile_rows(a.data(), a_step, i0, mr, arows);
   double s[kDotTile][kDotTile] = {};
-  for (std::size_t i0 = 0; i0 < m; i0 += kDotTile) {
-    const std::size_t mr = std::min(kDotTile, m - i0);
-    const double* arows[kDotTile] = {};
-    tile_rows(a.data(), a_step, i0, mr, arows);
-    for (std::size_t j0 = 0; j0 < n; j0 += kDotTile) {
-      const std::size_t nr = std::min(kDotTile, n - j0);
-      const double* brows[kDotTile] = {};
-      tile_rows(b.data(), b.row_stride(), j0, nr, brows);
-      dot_tile(k, arows, sa, brows, s);
-      for (std::size_t r = 0; r < mr; ++r) {
-        double* ci = c.row_ptr(i0 + r) + j0;
-        for (std::size_t q = 0; q < nr; ++q) ci[q] += alpha * s[r][q];
-      }
+  for (std::size_t j0 = 0; j0 < n; j0 += kDotTile) {
+    const std::size_t nr = std::min(kDotTile, n - j0);
+    const double* brows[kDotTile] = {};
+    tile_rows(b.data(), b.row_stride(), j0, nr, brows);
+    dot_tile(k, arows, sa, brows, s);
+    for (std::size_t r = 0; r < mr; ++r) {
+      double* ci = c.row_ptr(i0 + r) + j0;
+      for (std::size_t q = 0; q < nr; ++q) ci[q] += alpha * s[r][q];
     }
+  }
+}
+
+/// C += alpha * op(A) B^T, serially, one dot-tile row at a time.
+void gemm_small_dots(double alpha, ConstMatrixView a, Op opa,
+                     ConstMatrixView b, MatrixView c) {
+  for (std::size_t i0 = 0; i0 < c.rows(); i0 += kDotTile) {
+    dot_tile_row(alpha, a, opa, b, c, i0);
   }
 }
 
@@ -477,6 +480,27 @@ void gemm(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b, Op opb,
     gemm_small_rows(alpha, a, opa, b, c);
   } else {
     gemm_small_dots(alpha, a, opa, b, c);
+  }
+}
+
+void gemm_dots(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+               std::size_t threads) {
+  require(a.cols() == b.cols(), "gemm_dots: inner dimension mismatch");
+  require(c.rows() == a.rows() && c.cols() == b.rows(),
+          "gemm_dots: output shape mismatch");
+  // c starts at +0.0 and receives 1.0 * s once: the dot itself, bit for bit
+  // (a chain from +0.0 never rounds to -0.0).
+  scale_output(0.0, c);
+  const std::size_t tiles = (c.rows() + kDotTile - 1) / kDotTile;
+  const std::size_t flops_per_tile = kDotTile * c.cols() * a.cols();
+  const auto compute_tile = [&](std::size_t t) {
+    dot_tile_row(1.0, a, Op::None, b, c, t * kDotTile);
+  };
+  if (tiles > 1 && tiles * flops_per_tile >= kParallelFlopThreshold) {
+    par::parallel_for(0, tiles, row_grain(tiles, flops_per_tile),
+                      compute_tile, threads);
+  } else {
+    for (std::size_t t = 0; t < tiles; ++t) compute_tile(t);
   }
 }
 

@@ -19,6 +19,10 @@
 
 namespace aspe::linalg {
 
+/// Products (and scans) smaller than this many scalar multiply-adds run
+/// serially: the measured pool-dispatch crossover is a few hundred thousand.
+inline constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
+
 /// Inner product sum_i x[i] * y[i], accumulated in ascending index order.
 /// Inline: the NNLS factor updates call it once per Cholesky entry, on
 /// vectors short enough that a call costs as much as the loop.
@@ -62,6 +66,16 @@ void gemv(double alpha, ConstMatrixView a, Op opa, ConstVecView x, double beta,
 /// ascending dot per entry, then c(i, j) += alpha * dot (docs/linalg.md).
 void gemm(double alpha, ConstMatrixView a, Op opa, ConstMatrixView b, Op opb,
           double beta, MatrixView c, std::size_t threads = 0);
+
+/// c = a b^T with every entry one ascending dot: c(i, j) = sum_p a(i, p)
+/// b(j, p) from 0.0, a rounded multiply then a rounded add per term, the
+/// arithmetic of dot() and of the Op::None gemv at every size (gemm leaves
+/// it for the packed FMA kernel above kParallelFlopThreshold). Parallel over
+/// 4-row tiles of c above that threshold, bit-identical at any thread count.
+/// The batched form of `n` gemv calls b x_i: row i of c equals b.apply(row
+/// i of a) bit for bit.
+void gemm_dots(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+               std::size_t threads = 0);
 
 /// g = a a^T (row Gram matrix, g must be a.rows() x a.rows()). Computes the
 /// upper triangle on 4 x 4 tiles of contiguous row dots, each entry one

@@ -5,35 +5,40 @@
 #include <numeric>
 
 #include "linalg/kernels.hpp"
+#include "par/parallel.hpp"
 
 namespace aspe::linalg {
 
 namespace {
 constexpr double kPivotTolerance = 1e-12;
 
-/// acc[c] += coef[j] * y(j, c) for the rows j in [j0, j1), in ascending j:
-/// every lane runs the same chain of rounded multiplies and adds as the
-/// scalar dot in solve_into, four rows per pass over acc.
+/// Right-hand-side columns per task of the parallel multi-column solve.
+constexpr std::size_t kSolveColumnBlock = 32;
+
+/// acc[c] += coef[j] * y(j, c0 + c) for c in [0, width) and the rows j in
+/// [j0, j1), in ascending j: every lane runs the same chain of rounded
+/// multiplies and adds as the scalar dot in solve_into, four rows per pass
+/// over acc.
 void accumulate_rows(const double* coef, const Matrix& y, std::size_t j0,
-                     std::size_t j1, double* __restrict acc) {
-  const std::size_t n = y.cols();
+                     std::size_t j1, std::size_t c0, std::size_t width,
+                     double* __restrict acc) {
   std::size_t j = j0;
   for (; j + 4 <= j1; j += 4) {
-    const double c0 = coef[j], c1 = coef[j + 1], c2 = coef[j + 2],
-                 c3 = coef[j + 3];
-    const double* __restrict y0 = y.row_ptr(j);
-    const double* __restrict y1 = y.row_ptr(j + 1);
-    const double* __restrict y2 = y.row_ptr(j + 2);
-    const double* __restrict y3 = y.row_ptr(j + 3);
-    for (std::size_t c = 0; c < n; ++c) {
-      acc[c] = (((acc[c] + c0 * y0[c]) + c1 * y1[c]) + c2 * y2[c]) +
-               c3 * y3[c];
+    const double c0j = coef[j], c1j = coef[j + 1], c2j = coef[j + 2],
+                 c3j = coef[j + 3];
+    const double* __restrict y0 = y.row_ptr(j) + c0;
+    const double* __restrict y1 = y.row_ptr(j + 1) + c0;
+    const double* __restrict y2 = y.row_ptr(j + 2) + c0;
+    const double* __restrict y3 = y.row_ptr(j + 3) + c0;
+    for (std::size_t c = 0; c < width; ++c) {
+      acc[c] = (((acc[c] + c0j * y0[c]) + c1j * y1[c]) + c2j * y2[c]) +
+               c3j * y3[c];
     }
   }
   for (; j < j1; ++j) {
     const double cj = coef[j];
-    const double* __restrict yj = y.row_ptr(j);
-    for (std::size_t c = 0; c < n; ++c) acc[c] += cj * yj[c];
+    const double* __restrict yj = y.row_ptr(j) + c0;
+    for (std::size_t c = 0; c < width; ++c) acc[c] += cj * yj[c];
   }
 }
 
@@ -118,27 +123,43 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
   if (singular_) {
     throw NumericalError("LuDecomposition::solve: matrix is singular");
   }
-  // All right-hand sides at once: row i of y holds entry i of every
+  // Many right-hand sides at once: row i of y holds entry i of every
   // column, so each substitution step runs down contiguous rows. Entry
   // (i, c) gets solve_into's arithmetic for column c of b: the sum starts
   // at 0.0 and runs in ascending j, then one subtraction (and, going back,
-  // one division) — bit-identical to solving column by column.
+  // one division) — bit-identical to solving column by column. Columns are
+  // independent, so blocks of them fan out over the pool with no effect on
+  // any column's chain.
   const std::size_t k = b.cols();
   Matrix y(n, k);
-  Vec acc(k);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    accumulate_rows(lu_.row_ptr(i), y, 0, i, acc.data());
-    const double* bi = b.row_ptr(perm_[i]);
-    double* yi = y.row_ptr(i);
-    for (std::size_t c = 0; c < k; ++c) yi[c] = bi[c] - acc[c];
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    accumulate_rows(lu_.row_ptr(ii), y, ii + 1, n, acc.data());
-    double* yi = y.row_ptr(ii);
-    const double pivot = lu_(ii, ii);
-    for (std::size_t c = 0; c < k; ++c) yi[c] = (yi[c] - acc[c]) / pivot;
+  const auto solve_columns = [&](std::size_t c0, std::size_t c1) {
+    const std::size_t width = c1 - c0;
+    Vec acc(width);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      accumulate_rows(lu_.row_ptr(i), y, 0, i, c0, width, acc.data());
+      const double* bi = b.row_ptr(perm_[i]) + c0;
+      double* yi = y.row_ptr(i) + c0;
+      for (std::size_t c = 0; c < width; ++c) yi[c] = bi[c] - acc[c];
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      accumulate_rows(lu_.row_ptr(ii), y, ii + 1, n, c0, width, acc.data());
+      double* yi = y.row_ptr(ii) + c0;
+      const double pivot = lu_(ii, ii);
+      for (std::size_t c = 0; c < width; ++c) {
+        yi[c] = (yi[c] - acc[c]) / pivot;
+      }
+    }
+  };
+  const std::size_t blocks = (k + kSolveColumnBlock - 1) / kSolveColumnBlock;
+  if (blocks > 1 && n * n * k >= kParallelFlopThreshold) {
+    par::parallel_for(0, blocks, 1, [&](std::size_t blk) {
+      const std::size_t c0 = blk * kSolveColumnBlock;
+      solve_columns(c0, std::min(k, c0 + kSolveColumnBlock));
+    });
+  } else {
+    solve_columns(0, k);
   }
   return y;
 }

@@ -9,13 +9,6 @@
 
 namespace aspe::linalg {
 
-namespace {
-
-// Scans smaller than this are not worth the pool dispatch.
-constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
-
-}  // namespace
-
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();
   cols_ = rows_ == 0 ? 0 : rows.begin()->size();

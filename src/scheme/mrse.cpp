@@ -62,6 +62,13 @@ CipherPair Mrse::encrypt_record(const BitVec& p, rng::Rng& rng) const {
   return encrypt_index(build_index(p, rng), rng);
 }
 
+std::vector<CipherPair> Mrse::encrypt_records(
+    const std::vector<BitVec>& records, rng::Rng& rng) const {
+  return encryptor_.encrypt_indexes(
+      records.size(),
+      [&](std::size_t i) { return build_index(records[i], rng); }, rng);
+}
+
 CipherPair Mrse::encrypt_query(const BitVec& q, rng::Rng& rng,
                                MrseTrapdoorSecrets* secrets) const {
   return encrypt_trapdoor(build_trapdoor(q, rng, secrets), rng);

@@ -53,6 +53,10 @@ class Mrse {
 
   /// Record-to-ciphertext convenience (index construction + encryption).
   [[nodiscard]] CipherPair encrypt_record(const BitVec& p, rng::Rng& rng) const;
+  /// encrypt_record on each record in turn, as one batch: the same draws
+  /// from `rng` and bit-identical ciphertexts (SplitEncryptor::encrypt_indexes).
+  [[nodiscard]] std::vector<CipherPair> encrypt_records(
+      const std::vector<BitVec>& records, rng::Rng& rng) const;
   [[nodiscard]] CipherPair encrypt_query(const BitVec& q, rng::Rng& rng,
                                          MrseTrapdoorSecrets* secrets =
                                              nullptr) const;

@@ -17,6 +17,9 @@
 // is factored out of AspeScheme2.
 #pragma once
 
+#include <functional>
+#include <vector>
+
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
 
@@ -45,6 +48,14 @@ class SplitEncryptor {
   SplitEncryptor(BitVec split, linalg::Matrix m1, linalg::Matrix m2);
 
   [[nodiscard]] CipherPair encrypt_index(const Vec& index, rng::Rng& rng) const;
+  /// Encrypt `count` indexes as one batch. Index i is make_index(i), built
+  /// just before its shares are drawn, so the draws from `rng` interleave
+  /// as in `count` calls of encrypt_index(make_index(i), rng), and every
+  /// ciphertext is bit-identical to that call's. The key products run on
+  /// blocks of records through linalg::gemm_dots.
+  [[nodiscard]] std::vector<CipherPair> encrypt_indexes(
+      std::size_t count, const std::function<Vec(std::size_t)>& make_index,
+      rng::Rng& rng) const;
   [[nodiscard]] CipherPair encrypt_trapdoor(const Vec& trapdoor,
                                             rng::Rng& rng) const;
 
@@ -62,8 +73,7 @@ class SplitEncryptor {
   BitVec split_;          // the secret bit string S
   linalg::Matrix m1_, m1_inv_;
   linalg::Matrix m2_, m2_inv_;
-  linalg::Matrix m1_t_, m2_t_;          // cached transposes
-  linalg::Matrix m1_inv_t_, m2_inv_t_;  // cached inverse transposes
+  linalg::Matrix m1_t_, m2_t_;  // cached transposes (the index products)
 };
 
 }  // namespace aspe::scheme

@@ -85,10 +85,10 @@ RankedSearchSystem::RankedSearchSystem(const scheme::MrseOptions& options,
     : rng_(seed), scheme_(options, rng_) {}
 
 void RankedSearchSystem::upload_records(const std::vector<BitVec>& records) {
-  for (const auto& p : records) {
-    server_.upload_index(scheme_.encrypt_record(p, rng_));
-    records_.push_back(p);
+  for (auto& cipher : scheme_.encrypt_records(records, rng_)) {
+    server_.upload_index(std::move(cipher));
   }
+  records_.insert(records_.end(), records.begin(), records.end());
 }
 
 std::vector<std::size_t> RankedSearchSystem::ranked_query(const BitVec& q,

@@ -271,6 +271,31 @@ TEST(Gemv, MatchesRowDotOracleBitwise) {
   }
 }
 
+TEST(GemmDots, EveryRowMatchesGemvBitwiseAtOneAndFourThreads) {
+  // gemm_dots is the batched form of gemv(1, b, x_i): below and above the
+  // parallel threshold, with edge tiles in both dimensions and signed zeros
+  // in the batch.
+  rng::Rng rng(1507);
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {3, 5}, {4, 4}, {13, 7}, {64, 41}, {70, 309}, {66, 509}};
+  for (const auto& [rows, dim] : shapes) {
+    const Matrix a = random_with_zeros(rows, dim, rng, true);
+    const Matrix b = random_with_zeros(dim, dim, rng, false);
+    Matrix want(rows, dim);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const Vec x(a.row_ptr(i), a.row_ptr(i) + dim);
+      const Vec y = b.apply(x);
+      std::copy(y.begin(), y.end(), want.row_ptr(i));
+    }
+    for (const std::size_t threads : {1, 4}) {
+      Matrix got(rows, dim, 7.0);
+      linalg::gemm_dots(a.cview(), b.cview(), got.view(), threads);
+      EXPECT_TRUE(same_bytes(got, want))
+          << rows << "x" << dim << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(Nnls, PartialRefactorAtEveryInsertionMatchesRowWiseOracle) {
   // A warm solve seeded with the optimal support minus its p-th variable
   // refactors the seeded set, lets the missing variable re-enter at sorted

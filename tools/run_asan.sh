@@ -38,6 +38,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "Svd\.|Nnls\.|Qr\.|Gemm\.|Gram\.|Gemv|Lu\."
 
+# Pre-pass over the batch-shaped victim side: the cached-sum sampler's
+# early-exit scans, the record blocks written through sub-views by
+# gemm_dots, the column-blocked LU solve and the temp-file-and-rename
+# writes (whose crash tests fork a child that is killed mid-write).
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
+  -R "DiscreteSampler|CorpusGolden|GemmDots|BatchEncrypt|LuParallelSolve|SplitEncryptorBitwise|AtomicFile|SessionIoCrash"
+
 # Fourth pre-pass over the io::v2 / mmap layer: envelope decoding walks
 # attacker-controlled offsets, the mutation tests feed deliberately
 # malformed containers, and MappedCorpus reads straight off mapped pages —

@@ -31,6 +31,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   -R "Svd\.|Nnls\.|Qr\."
 
+# Pre-pass over the victim-side batches: gemm_dots fans row tiles of a
+# record block over the pool and the LU solve fans right-hand-side column
+# blocks; both suites compare 1 and 4 threads byte for byte.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
+  -R "BatchEncrypt|LuParallelSolve|GemmDots"
+
 # Fourth pre-pass: sharded execution fans gemm tiles and restart groups
 # over the pool while every worker reads the same mapped pages; the Shard
 # suites sweep budgets x thread counts, so tile races surface here first.
